@@ -1,11 +1,7 @@
 """The Orion compiler: occupancy realisation, Fig. 8 tuning, and the
 multi-version binary (paper Sections 3.2–3.3 and 4)."""
 
-from repro.compiler.maxlive import (
-    function_max_live,
-    kernel_max_live,
-    tuning_direction,
-)
+from repro.compiler.maxlive import function_max_live, tuning_direction
 from repro.compiler.multiversion import MultiVersionBinary
 from repro.compiler.pipeline import (
     CompileOptions,
@@ -30,6 +26,7 @@ from repro.compiler.tuning import (
     conservative_level,
     original_version,
 )
+from repro.regalloc.stack import kernel_max_live
 
 __all__ = [
     "CompileOptions",

@@ -10,46 +10,22 @@ already runs at maximum occupancy and can only tune *downward*.
 
 For kernels with calls the metric follows the deepest chain the
 compressible stack must hold: at a call site the caller keeps its live
-values packed below the callee's window.
+values packed below the callee's window.  That whole-tree metric,
+:func:`~repro.regalloc.stack.kernel_max_live`, lives with the
+compressible stack in :mod:`repro.regalloc`, whose minimal-budget
+search starts from it.
 """
 
 from __future__ import annotations
 
-from repro.ir.callgraph import CallGraph
 from repro.ir.function import Module
 from repro.ir.liveness import analyze_liveness
-from repro.isa.registers import required_alignment
-from repro.regalloc.stack import packed_height
+from repro.regalloc.stack import kernel_max_live
 
 
 def function_max_live(module: Module, name: str) -> int:
     """Max-live of one function, ignoring its callees."""
     return analyze_liveness(module.functions[name]).max_live
-
-
-def kernel_max_live(module: Module, kernel_name: str) -> int:
-    """Inter-procedural max-live of a kernel's whole call tree.
-
-    ``ml(f) = max(own max-live, max over sites (packed live-at-site +
-    ml(callee)))`` — the registers a thread needs with perfect (spill
-    free, compressible-stack) allocation.
-    """
-    callgraph = CallGraph(module)
-    memo: dict[str, int] = {}
-    for name in callgraph.bottom_up_order(kernel_name):
-        fn = module.functions[name]
-        info = analyze_liveness(fn)
-        best = info.max_live
-        for block, index, inst in callgraph.call_sites[name]:
-            live = info.live_across_calls[(block, index)]
-            height = packed_height(
-                [(v.width, required_alignment(v.width)) for v in live]
-            )
-            callee = inst.callee
-            assert callee is not None
-            best = max(best, height + memo.get(callee, 0))
-        memo[name] = best
-    return memo[kernel_name]
 
 
 def tuning_direction(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.occupancy import occupancy_levels
 from repro.arch.specs import CacheConfig, GpuArchitecture
-from repro.compiler.maxlive import kernel_max_live, tuning_direction
+from repro.compiler.maxlive import tuning_direction
 from repro.compiler.realize import (
     KernelVersion,
     RealizeError,
@@ -38,7 +38,12 @@ from repro.compiler.static_select import static_selection
 from repro.ir.function import Module
 from repro.isa.encoding import encode_module
 from repro.obs.spans import span
-from repro.regalloc.allocator import allocate_module, minimal_budget
+from repro.regalloc.allocator import (
+    BudgetError,
+    allocate_module,
+    minimal_budget,
+)
+from repro.regalloc.stack import kernel_max_live
 from repro.regalloc.strategy import (
     DEFAULT_STRATEGY_ID,
     AllocationStrategy,
@@ -99,16 +104,20 @@ def original_version(
 ) -> KernelVersion:
     """The paper's *original*: minimal spill-free registers (or the cap)."""
     strat = get_strategy(strategy)
+    cap = arch.max_registers_per_thread
     try:
-        budget = minimal_budget(
-            module, kernel_name, upper_bound=arch.max_registers_per_thread
+        _, outcome = minimal_budget(
+            module,
+            kernel_name,
+            upper_bound=cap,
+            block_size=block_size,
+            strategy=strat,
         )
-    except Exception:
+    except BudgetError:
         # Cannot fit spill-free under the hardware cap: use the cap.
-        budget = arch.max_registers_per_thread
-    outcome = allocate_module(
-        module, kernel_name, budget, block_size=block_size, strategy=strat
-    )
+        outcome = allocate_module(
+            module, kernel_name, cap, block_size=block_size, strategy=strat
+        )
     occ = strat.occupancy(
         arch,
         block_size,

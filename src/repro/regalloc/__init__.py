@@ -7,7 +7,7 @@ from repro.regalloc.allocator import (
     allocate_module,
     minimal_budget,
 )
-from repro.regalloc.chaitin import ColoringResult, color_graph, minimum_registers
+from repro.regalloc.chaitin import ColoringResult, color_graph
 from repro.regalloc.coalesce import CoalesceReport, coalesce_moves
 from repro.regalloc.matching import (
     assignment_weight,
@@ -34,6 +34,7 @@ from repro.regalloc.stack import (
     StackError,
     build_clusters,
     count_total_moves,
+    kernel_max_live,
     movement_weight,
     optimal_layout,
     packed_height,
@@ -68,10 +69,10 @@ __all__ = [
     "color_graph",
     "count_total_moves",
     "insert_spill_code",
+    "kernel_max_live",
     "max_weight_assignment",
     "min_cost_assignment",
     "minimal_budget",
-    "minimum_registers",
     "movement_weight",
     "optimal_layout",
     "packed_height",

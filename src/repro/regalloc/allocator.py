@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from repro.ir.callgraph import CallGraph
 from repro.ir.function import Module
 from repro.ir.interference import build_interference
-from repro.ir.liveness import analyze_liveness
 from repro.ir.ssa import construct_ssa, destruct_ssa, lift_to_virtual
 from repro.isa.registers import PhysReg, Reg, VirtualReg
 from repro.regalloc.chaitin import color_graph
@@ -35,6 +34,7 @@ from repro.regalloc.strategy import AllocationStrategy, get_strategy
 from repro.regalloc.stack import (
     InterprocResult,
     StackError,
+    kernel_max_live,
     plan_interprocedural,
     rewrite_module,
 )
@@ -413,29 +413,40 @@ def minimal_budget(
     module: Module,
     kernel_name: str,
     upper_bound: int = 255,
-) -> int:
+    block_size: int = 256,
+    strategy: str | AllocationStrategy | None = None,
+) -> tuple[int, AllocationOutcome]:
     """Smallest register budget allocating the kernel tree spill-free.
 
     Defines the paper's *original* version: "all live values fit into
-    the minimal number of registers".
+    the minimal number of registers".  No spill-free allocation fits in
+    fewer registers than the tree's max-live, so the search starts
+    there and walks upward one register at a time; the first budget
+    that allocates without spilling wins, usually the first one tried.
+
+    Returns the budget with its allocation: each probe is a full
+    :func:`allocate_module` with the caller's ``block_size`` and
+    ``strategy`` (a spill-free allocation does not depend on either),
+    so the caller gets the original version's allocation without
+    building it again.  Raises :class:`BudgetError` when no budget up
+    to ``upper_bound`` is spill-free.
     """
-    lo, hi = 1, upper_bound
-    best: int | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
+    for budget in range(
+        max(1, kernel_max_live(module, kernel_name)), upper_bound + 1
+    ):
         try:
-            outcome = allocate_module(module, kernel_name, mid)
+            outcome = allocate_module(
+                module,
+                kernel_name,
+                budget,
+                block_size=block_size,
+                strategy=strategy,
+            )
         except BudgetError:
-            lo = mid + 1
             continue
         if outcome.spilled_variables == 0:
-            best = mid
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise BudgetError(
-            f"{kernel_name} does not allocate spill-free within "
-            f"{upper_bound} registers"
-        )
-    return best
+            return budget, outcome
+    raise BudgetError(
+        f"{kernel_name} does not allocate spill-free within "
+        f"{upper_bound} registers"
+    )

@@ -9,7 +9,8 @@ A variant of the Chaitin–Briggs allocator extended for *wide* variables
   as an optimistic spill candidate;
 * colouring (Fig. 4c): pop variables off the stack, give each the lowest
   free aligned slot range; a variable that cannot be coloured is moved
-  to the spill list and colouring restarts without it.
+  to the spill list and colouring continues with the variable below it
+  (the slots already given out never depended on it).
 
 ``blocked(v)`` counts neighbours in slot units (a 64-bit neighbour can
 exclude two slots), which preserves the classic "degree < k implies
@@ -78,93 +79,72 @@ def color_graph(
     # colouring lives in a flat array, so the hot probe loop walks
     # ``list[int]`` neighbour ids instead of hashing Reg objects into a
     # dict per lookup.  Same slots assigned as the Reg-keyed original.
-    dense = graph.dense()
-    nodes, _, nbr_ids, node_widths = dense
-    # The ordering setup (sorted candidates, initial blocked/edge counts,
-    # candidate-to-candidate neighbour lists) does not depend on the slot
-    # budget, so it is shared across the budget binary search in
-    # ``minimum_registers`` — only the budget-dependent selection reruns.
-    memo = getattr(graph, "_stack_memo", None)
-    if memo is None or memo[0] is not dense:
-        memo = (dense, {})
-        graph._stack_memo = memo
-    setup_key = frozenset(precolored)
-    setup = memo[1].get(setup_key)
-    if setup is None:
-        candidate_ids = [
-            i for i, v in enumerate(nodes) if v not in precolored
-        ]
-        setup = _stack_setup(nodes, nbr_ids, node_widths, candidate_ids)
-        memo[1][setup_key] = setup
-    stack_ids = _stack_order(setup, num_colors)
-    spilled: list[Reg] = []
-    pre_slots = [
-        (i, precolored[v])
-        for i, v in enumerate(nodes)
-        if v in precolored
-    ]
+    nodes, _, nbr_ids, node_widths = graph.dense()
+    stack_ids = _stack_order(
+        nodes, nbr_ids, node_widths, precolored, num_colors
+    )
     steps = [
         required_alignment(w) if align_wide else 1 for w in node_widths
     ]
     masks = [(1 << w) - 1 for w in node_widths]
 
     slot_of = [-1] * len(nodes)
-    while True:
-        for i in range(len(slot_of)):
-            slot_of[i] = -1
-        for i, base in pre_slots:
-            slot_of[i] = base
-        failed_pos = -1
-        for pos in range(len(stack_ids) - 1, -1, -1):
-            i = stack_ids[pos]
-            used = 0
-            for j in nbr_ids[i]:
-                base = slot_of[j]
-                if base < 0:
+    for i, v in enumerate(nodes):
+        if v in precolored:
+            slot_of[i] = precolored[v]
+    spilled: list[Reg] = []
+    for i in reversed(stack_ids):
+        used = 0
+        for j in nbr_ids[i]:
+            base = slot_of[j]
+            if base < 0:
+                continue
+            width = node_widths[j]
+            if base + width > num_colors:
+                width = num_colors - base
+                if width <= 0:
                     continue
-                width = node_widths[j]
-                if base + width > num_colors:
-                    width = num_colors - base
-                    if width <= 0:
-                        continue
-                used |= ((1 << width) - 1) << base
-            mask = masks[i]
-            slot = -1
-            for base in range(0, num_colors - node_widths[i] + 1, steps[i]):
-                if not (used >> base) & mask:
-                    slot = base
-                    break
-            if slot < 0:
-                failed_pos = pos
+            used |= ((1 << width) - 1) << base
+        mask = masks[i]
+        for base in range(0, num_colors - node_widths[i] + 1, steps[i]):
+            if not (used >> base) & mask:
+                slot_of[i] = base
                 break
-            slot_of[i] = slot
-        if failed_pos < 0:
-            coloring = dict(precolored)
-            for pos in range(len(stack_ids) - 1, -1, -1):
-                i = stack_ids[pos]
-                coloring[nodes[i]] = slot_of[i]
-            return ColoringResult(coloring=coloring, spilled=spilled)
-        # Fig. 4c: drop the uncolourable variable and restart colouring.
-        spilled.append(nodes[stack_ids[failed_pos]])
-        del stack_ids[failed_pos]
+        else:
+            # Fig. 4c: spill the uncolourable variable and go on below
+            # it.  The slots given out so far were chosen while it had
+            # none, so they stand as they are without it.
+            spilled.append(nodes[i])
+    coloring = dict(precolored)
+    for i in reversed(stack_ids):
+        if slot_of[i] >= 0:
+            coloring[nodes[i]] = slot_of[i]
+    return ColoringResult(coloring=coloring, spilled=spilled)
 
 
-def _stack_setup(
+def _stack_order(
     nodes: list[Reg],
     nbr_ids: list[list[int]],
     node_widths: list[int],
-    candidate_ids: list[int],
-) -> tuple[list[int], list[int], list[int], list[int], list[list[int]]]:
-    """Budget-independent half of :func:`_stack_order`.
+    precolored: dict[Reg, int],
+    num_colors: int,
+) -> list[int]:
+    """Fig. 4b ordering: trivial picks first, else optimistic candidates.
 
-    ``(order, widths, blocked, edges, neighbor_pos)`` — candidate ids in
-    tie-break order, their widths, initial blocked-width and edge counts
-    against the full graph (candidates plus the always-blocking
-    precoloured nodes), and candidate-to-candidate neighbour positions.
-    Cached per (graph, precoloured set) so a budget binary search pays
-    the O(E) setup once.
+    Runs entirely over dense node ids (see ``InterferenceGraph.dense``).
+    Candidates are the nodes that are not precoloured, in tie-break
+    order; their blocked-width and edge counts start against the full
+    graph (precoloured nodes always block).  Degrees are maintained
+    incrementally — removing a node decrements its neighbours'
+    blocked-width and edge counts — instead of rescanning every
+    neighbour set per pick, which keeps the ordering O(n² + E) while
+    selecting the exact same stack as the original Reg-domain scan.
+    Returns the stack as dense node ids.
     """
-    order = sorted(candidate_ids, key=lambda i: _sort_key(nodes[i]))
+    order = sorted(
+        (i for i, v in enumerate(nodes) if v not in precolored),
+        key=lambda i: _sort_key(nodes[i]),
+    )
     pos_of = [-1] * len(nodes)  # graph id -> candidate position
     for p, gid in enumerate(order):
         pos_of[gid] = p
@@ -185,22 +165,6 @@ def _stack_setup(
         blocked[p] = b
         edges[p] = e
         neighbor_pos.append(nbrs)
-    return (order, widths, blocked, edges, neighbor_pos)
-
-
-def _stack_order(setup, num_colors: int) -> list[int]:
-    """Fig. 4b ordering: trivial picks first, else optimistic candidates.
-
-    Runs entirely over dense node ids (see ``InterferenceGraph.dense``).
-    Degrees are maintained incrementally — removing a node decrements
-    its neighbours' blocked-width and edge counts — instead of
-    rescanning every neighbour set per pick, which keeps the ordering
-    O(n² + E) while selecting the exact same stack as the original
-    Reg-domain scan.  Returns the stack as dense node ids.
-    """
-    order, widths, blocked0, edges0, neighbor_pos = setup
-    blocked = list(blocked0)
-    edges = list(edges0)
 
     # ``blocked`` only ever decreases, so "trivially colourable" is
     # monotone: once a node qualifies it stays qualified until removed.
@@ -251,62 +215,3 @@ def _stack_order(setup, num_colors: int) -> list[int]:
                     heapq.heappush(trivial, (widths[j], j))
                     pushed[j] = True
     return stack
-
-
-def _lowest_free_slot(
-    var: Reg,
-    graph: InterferenceGraph,
-    coloring: dict[Reg, int],
-    num_colors: int,
-    align_wide: bool,
-) -> int | None:
-    # One int as the occupancy bitmask: building it is a few shifts per
-    # coloured neighbour, and probing a candidate base is one shift+AND
-    # instead of a per-slot list scan (this is the allocator's hottest
-    # loop; same slots returned as the original list scan).
-    used = 0
-    get = coloring.get
-    for neighbor in graph.neighbors(var):
-        base = get(neighbor)
-        if base is None:
-            continue
-        width = neighbor.width
-        if base + width > num_colors:
-            width = num_colors - base
-            if width <= 0:
-                continue
-        used |= ((1 << width) - 1) << base
-    step = required_alignment(var.width) if align_wide else 1
-    mask = (1 << var.width) - 1
-    for base in range(0, num_colors - var.width + 1, step):
-        if not (used >> base) & mask:
-            return base
-    return None
-
-
-def minimum_registers(
-    graph: InterferenceGraph,
-    precolored: dict[Reg, int] | None = None,
-    upper_bound: int = 256,
-) -> int:
-    """Smallest slot budget that colours the graph without spilling.
-
-    This defines the paper's *original* occupancy level: "all live
-    values fit into the minimal number of registers".  Binary search
-    over the budget; each probe is one full colouring.
-    """
-    if not graph.nodes:
-        return 0
-    lo = max(v.width for v in graph.nodes)
-    if precolored:
-        lo = max(lo, max(b + v.width for v, b in precolored.items()))
-    hi = max(lo, upper_bound)
-    if color_graph(graph, hi, precolored).spilled:
-        raise ValueError(f"graph does not colour even with {hi} slots")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if color_graph(graph, mid, precolored).spilled:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

@@ -231,6 +231,32 @@ def packed_height(widths_and_alignments: list[tuple[int, int]]) -> int:
     return len(taken)
 
 
+def kernel_max_live(module: Module, kernel_name: str) -> int:
+    """Inter-procedural max-live of a kernel's whole call tree.
+
+    ``ml(f) = max(own max-live, max over sites (packed live-at-site +
+    ml(callee)))`` — the registers a thread needs with perfect (spill
+    free, compressible-stack) allocation, so no spill-free allocation
+    of the tree fits in fewer.
+    """
+    callgraph = CallGraph(module)
+    memo: dict[str, int] = {}
+    for name in callgraph.bottom_up_order(kernel_name):
+        fn = module.functions[name]
+        info = analyze_liveness(fn)
+        best = info.max_live
+        for block, index, inst in callgraph.call_sites[name]:
+            live = info.live_across_calls[(block, index)]
+            height = packed_height(
+                [(v.width, required_alignment(v.width)) for v in live]
+            )
+            callee = inst.callee
+            assert callee is not None
+            best = max(best, height + memo.get(callee, 0))
+        memo[name] = best
+    return memo[kernel_name]
+
+
 # ----------------------------------------------------------------------
 # Whole-module inter-procedure assembly
 # ----------------------------------------------------------------------

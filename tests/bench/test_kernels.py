@@ -36,7 +36,7 @@ def test_kernel_executes_functionally(name):
 )
 def test_table2_registers(spec):
     module = spec.build()
-    measured = minimal_budget(module, module.kernel().name, upper_bound=96)
+    measured, _ = minimal_budget(module, module.kernel().name, upper_bound=96)
     assert measured == spec.paper_regs
 
 

@@ -1,32 +1,14 @@
 """max-live metric and tuning-direction tests (Fig. 8 lines 1-4)."""
 
 from repro.arch import GTX680, TESLA_C2075
-from repro.compiler.maxlive import (
-    function_max_live,
-    kernel_max_live,
-    tuning_direction,
-)
+from repro.compiler.maxlive import function_max_live, tuning_direction
+from repro.regalloc.stack import kernel_max_live
 from tests.helpers import (
     call_kernel,
     loop_kernel,
-    module_from_asm,
+    pressure_kernel,
     straight_line_kernel,
 )
-
-
-def _pressure_module(n):
-    """Kernel holding n values live simultaneously."""
-    lines = ["S2R %v0, %tid", "SHL %v1, %v0, 2"]
-    for i in range(n):
-        lines.append(f"LD.global %v{2 + i}, [%v1+{4 * i}]")
-    accum = "%v2"
-    for i in range(1, n):
-        lines.append(f"FADD %v{100 + i}, {accum}, %v{2 + i}")
-        accum = f"%v{100 + i}"
-    lines.append(f"ST.global [%v1], {accum}")
-    lines.append("EXIT")
-    body = "\n".join(f"    {line}" for line in lines)
-    return module_from_asm(f".module m\n.kernel k shared=0\nBB0:\n{body}\n.end")
 
 
 class TestMaxLive:
@@ -42,8 +24,8 @@ class TestMaxLive:
         assert whole > kernel_only or whole >= kernel_only
 
     def test_pressure_scales(self):
-        assert kernel_max_live(_pressure_module(30), "k") > kernel_max_live(
-            _pressure_module(10), "k"
+        assert kernel_max_live(pressure_kernel(30), "k") > kernel_max_live(
+            pressure_kernel(10), "k"
         )
 
 
@@ -54,7 +36,7 @@ class TestDirection:
         assert tuning_direction(module, "k", threshold) == "decreasing"
 
     def test_high_pressure_tunes_up(self):
-        module = _pressure_module(40)
+        module = pressure_kernel(40)
         threshold = GTX680.registers_per_thread_at_full_occupancy
         assert tuning_direction(module, "k", threshold) == "increasing"
 

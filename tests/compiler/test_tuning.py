@@ -204,3 +204,30 @@ class TestPipeline:
         orion = original_version(module, "k", GTX680, 256)
         nvcc = nvcc_baseline(module, "k", GTX680)
         assert orion.regs_per_thread <= nvcc.regs_per_thread
+
+
+class TestOriginalVersion:
+    def test_allocator_self_check_failure_is_not_swallowed(self, monkeypatch):
+        """A verifier rejection during the minimal-budget search is a
+        compiler bug: it must surface, not silently turn the original
+        version into the cap-budget allocation."""
+        from repro.bench.kernels import BENCHMARKS
+        from repro.compiler.tuning import original_version
+        from repro.ir.verify import VerificationError
+        from repro.regalloc import allocator
+
+        real = allocator.allocate_module
+        cap = GTX680.max_registers_per_thread
+
+        def rejecting(module, kernel_name, reg_budget, *args, **kwargs):
+            if reg_budget < cap:
+                raise VerificationError([])
+            return real(module, kernel_name, reg_budget, *args, **kwargs)
+
+        monkeypatch.setattr(allocator, "allocate_module", rejecting)
+        spec = BENCHMARKS["matrixMul"]
+        module = spec.build()
+        with pytest.raises(VerificationError):
+            original_version(
+                module, module.kernel().name, GTX680, spec.workload.block_size
+            )

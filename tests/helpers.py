@@ -133,3 +133,16 @@ def wide_kernel() -> Module:
         .end
         """
     )
+
+
+def pressure_kernel(n: int) -> Module:
+    """A kernel holding ``n`` loaded values live at once."""
+    lines = ["S2R %v0, %tid", "SHL %v1, %v0, 2"]
+    lines += [f"LD.global %v{2 + i}, [%v1+{4 * i}]" for i in range(n)]
+    accum = "%v2"
+    for i in range(1, n):
+        lines.append(f"FADD %v{100 + i}, {accum}, %v{2 + i}")
+        accum = f"%v{100 + i}"
+    lines += [f"ST.global [%v1], {accum}", "EXIT"]
+    body = "\n".join(f"    {line}" for line in lines)
+    return module_from_asm(f".module m\n.kernel k shared=0\nBB0:\n{body}\n.end")

@@ -63,7 +63,7 @@ class TestSimpleKernels:
     def test_every_feasible_budget_equivalent(self, make):
         module = make()
         memory = {i * 4: float(i % 5 + 1) for i in range(64)}
-        smallest = minimal_budget(module, "k")
+        smallest, _ = minimal_budget(module, "k")
         for budget in range(smallest, smallest + 6):
             outcome = allocate_module(module, "k", budget)
             assert_fully_physical(outcome)
@@ -72,7 +72,7 @@ class TestSimpleKernels:
     def test_tiny_budget_forces_spills_but_stays_correct(self):
         module = loop_kernel()
         memory = {i * 4: 0.0 for i in range(16)}
-        smallest = minimal_budget(module, "k")
+        smallest, _ = minimal_budget(module, "k")
         # Squeeze below the spill-free minimum.
         for budget in range(2, smallest):
             try:
@@ -100,7 +100,7 @@ class TestCalls:
     def test_call_tree_all_budgets(self):
         module = call_kernel()
         memory = {4 * t: float(t) for t in range(8)}
-        smallest = minimal_budget(module, "k")
+        smallest, _ = minimal_budget(module, "k")
         for budget in range(smallest, smallest + 8):
             outcome = allocate_module(module, "k", budget)
             assert_equivalent(
@@ -139,7 +139,7 @@ class TestCalls:
         """Values live across calls must be compressed and restored."""
         module = _movement_heavy_module()
         memory = {4 * t: float(t + 1) for t in range(8)}
-        smallest = minimal_budget(module, "k")
+        smallest, _ = minimal_budget(module, "k")
         for budget in range(smallest, smallest + 4):
             outcome = allocate_module(module, "k", budget)
             assert_equivalent(

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.interference import InterferenceGraph
-from repro.isa.registers import VirtualReg, is_aligned
-from repro.regalloc.chaitin import color_graph, minimum_registers
+from repro.isa.registers import VirtualReg, is_aligned, required_alignment
+from repro.regalloc import chaitin
+from repro.regalloc.chaitin import color_graph
 
 
 def v(i, w=1):
@@ -139,18 +140,24 @@ class TestPrecolored:
 
 
 class TestMinimumRegisters:
+    """The fewest slots a graph colours in: it colours spill-free with
+    that many and spills with one fewer."""
+
     def test_triangle_needs_exactly_three(self):
         nodes = [v(0), v(1), v(2)]
         g = graph_from_edges(nodes, itertools.combinations(nodes, 2))
-        assert minimum_registers(g) == 3
+        assert not color_graph(g, 3).spilled
+        assert color_graph(g, 2).spilled
 
     def test_empty_graph_zero(self):
-        assert minimum_registers(InterferenceGraph()) == 0
+        result = color_graph(InterferenceGraph(), 1)
+        assert not result.spilled and result.slots_used == 0
 
     def test_wide_clique_counts_slots(self):
         a, b = v(0, 2), v(1, 2)
         g = graph_from_edges([a, b], [(a, b)])
-        assert minimum_registers(g) == 4
+        assert not color_graph(g, 4).spilled
+        assert color_graph(g, 3).spilled
 
 
 @given(
@@ -182,3 +189,99 @@ def test_random_graphs_always_valid(n, density, colors, seed, wide):
     spilled = set(result.spilled)
     assert colored | spilled == set(nodes)
     assert not (colored & spilled)
+
+
+def _restart_coloring(graph, num_colors, precolored):
+    """Reference: the Fig. 4c loop that recoloured the whole stack from
+    the top after every spill, instead of carrying on below it."""
+    nodes, _, nbr_ids, node_widths = graph.dense()
+    stack_ids = chaitin._stack_order(
+        nodes, nbr_ids, node_widths, precolored, num_colors
+    )
+    spilled = []
+    pre_slots = [
+        (i, precolored[v]) for i, v in enumerate(nodes) if v in precolored
+    ]
+    steps = [required_alignment(w) for w in node_widths]
+    masks = [(1 << w) - 1 for w in node_widths]
+    slot_of = [-1] * len(nodes)
+    while True:
+        for i in range(len(slot_of)):
+            slot_of[i] = -1
+        for i, base in pre_slots:
+            slot_of[i] = base
+        failed_pos = -1
+        for pos in range(len(stack_ids) - 1, -1, -1):
+            i = stack_ids[pos]
+            used = 0
+            for j in nbr_ids[i]:
+                base = slot_of[j]
+                if base < 0:
+                    continue
+                width = node_widths[j]
+                if base + width > num_colors:
+                    width = num_colors - base
+                    if width <= 0:
+                        continue
+                used |= ((1 << width) - 1) << base
+            mask = masks[i]
+            slot = -1
+            for base in range(0, num_colors - node_widths[i] + 1, steps[i]):
+                if not (used >> base) & mask:
+                    slot = base
+                    break
+            if slot < 0:
+                failed_pos = pos
+                break
+            slot_of[i] = slot
+        if failed_pos < 0:
+            coloring = dict(precolored)
+            for pos in range(len(stack_ids) - 1, -1, -1):
+                i = stack_ids[pos]
+                coloring[nodes[i]] = slot_of[i]
+            return coloring, spilled
+        spilled.append(nodes[stack_ids[failed_pos]])
+        del stack_ids[failed_pos]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    colors=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=10_000),
+    wide=st.booleans(),
+    pinned=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_resumed_coloring_matches_restart_reference(
+    n, density, colors, seed, wide, pinned
+):
+    """Carrying on below a spilled variable gives the colouring and the
+    spill list (order included) that restarting from the top gave."""
+    import random
+
+    rng = random.Random(seed)
+    nodes = [
+        v(i, rng.choice([1, 1, 1, 2, 4]) if wide else 1) for i in range(n)
+    ]
+    g = InterferenceGraph()
+    for node in nodes:
+        g.add_node(node)
+    for a, b in itertools.combinations(nodes, 2):
+        if rng.random() < density:
+            g.add_edge(a, b)
+    # Pin the first few nodes to consecutive aligned slots, the way the
+    # calling convention pins device-function arguments.
+    precolored = {}
+    cursor = 0
+    for node in nodes[:pinned]:
+        base = -(-cursor // node.width) * node.width
+        if base + node.width > colors:
+            break
+        precolored[node] = base
+        cursor = base + node.width
+    result = color_graph(g, colors, precolored=precolored)
+    coloring, spilled = _restart_coloring(g, colors, precolored)
+    assert list(result.coloring.items()) == list(coloring.items())
+    assert result.spilled == spilled
+    assert_valid(g, result, colors)

@@ -80,7 +80,7 @@ class TestAllocatorIntegration:
         module = loop_kernel()
         launch = LaunchConfig(block_size=8, params={0: 5})
         expected = run_kernel(module, launch)
-        smallest = minimal_budget(module, "k")
+        smallest, _ = minimal_budget(module, "k")
         for budget in range(smallest, smallest + 4):
             outcome = allocate_module(module, "k", budget)
             assert run_kernel(outcome.module, launch) == pytest.approx(expected)

@@ -113,7 +113,7 @@ class TestOccupancyDials:
 class TestSharedSpillAllocation:
     def _squeezed(self, strategy):
         module = loop_kernel()
-        budget = minimal_budget(module, "k") - 1
+        budget = minimal_budget(module, "k")[0] - 1
         return module, allocate_module(
             module, "k", budget, block_size=8, strategy=strategy
         )
@@ -127,7 +127,7 @@ class TestSharedSpillAllocation:
 
     def test_spills_move_into_the_shared_frame(self):
         module = loop_kernel()
-        budget = minimal_budget(module, "k") - 1
+        budget = minimal_budget(module, "k")[0] - 1
         local = allocate_module(module, "k", budget, block_size=8)
         shared = allocate_module(
             module, "k", budget, block_size=8, strategy="smem-spill"
@@ -151,7 +151,7 @@ class TestSharedSpillAllocation:
         # ``strategy=None`` and the explicit reference id must produce
         # the same allocation, instruction for instruction.
         module = loop_kernel()
-        budget = minimal_budget(module, "k") - 1
+        budget = minimal_budget(module, "k")[0] - 1
         a = allocate_module(module, "k", budget, block_size=8)
         b = allocate_module(
             module, "k", budget, block_size=8, strategy="local-spill"
@@ -170,7 +170,7 @@ class TestMetrics:
         reset_registry()
         try:
             module = loop_kernel()
-            budget = minimal_budget(module, "k") - 1
+            budget = minimal_budget(module, "k")[0] - 1
             allocate_module(
                 module, "k", budget, block_size=8, strategy="smem-spill"
             )
@@ -192,7 +192,7 @@ class TestMetrics:
         reset_registry()
         try:
             module = loop_kernel()
-            budget = minimal_budget(module, "k") - 1
+            budget = minimal_budget(module, "k")[0] - 1
             allocate_module(module, "k", budget, block_size=8)
             names = {
                 f["name"] for f in get_registry().snapshot()["metrics"]
