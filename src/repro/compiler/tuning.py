@@ -106,15 +106,11 @@ def original_version(
     strat = get_strategy(strategy)
     cap = arch.max_registers_per_thread
     try:
-        _, outcome = minimal_budget(
-            module,
-            kernel_name,
-            upper_bound=cap,
-            block_size=block_size,
-            strategy=strat,
-        )
+        _, outcome = minimal_budget(module, kernel_name, upper_bound=cap)
     except BudgetError:
         # Cannot fit spill-free under the hardware cap: use the cap.
+        # The search's last probe was this budget, but under the
+        # default strategy, so the cap is allocated again here.
         outcome = allocate_module(
             module, kernel_name, cap, block_size=block_size, strategy=strat
         )

@@ -47,6 +47,13 @@ class LivenessInfo:
     live_across_calls: dict[tuple[str, int], set[Reg]] = field(
         default_factory=dict
     )
+    #: ``max_live`` and ``live_across_calls`` with a register copy
+    #: ``d = MOV s`` dropped wherever ``s`` is live too: interference
+    #: leaves that pair unconnected, so both may share one register
+    copy_max_live: int = 0
+    copy_live_across_calls: dict[tuple[str, int], set[Reg]] = field(
+        default_factory=dict
+    )
 
 
 class _RegNumbering:
@@ -263,12 +270,33 @@ def _scan_points(
 ) -> None:
     """Walk each block backwards recording max-live and call-site sets."""
     bit = numbering.bit
-    max_live = 0
+    copies = [
+        (bit(inst.dst), bit(inst.srcs[0]))
+        for label in cfg.rpo
+        for inst in fn.blocks[label].instructions
+        if inst.opcode is Opcode.MOV
+        and inst.dst is not None
+        and inst.srcs
+        and _is_reg(inst.srcs[0])
+        and inst.srcs[0] != inst.dst
+    ]
+
+    def shared(live: int) -> int:
+        # Drop each copy whose source is live.  A source dropped first
+        # spares its own copies, yet no copy stays beside its source.
+        for d, s in copies:
+            if live & s:
+                live &= ~d
+        return live
+
+    max_live = copy_max_live = 0
     for label in cfg.rpo:
         block = fn.blocks[label]
         live = live_out[label]
         slots = numbering.slots(live)
         max_live = max(max_live, slots)
+        if slots > copy_max_live:
+            copy_max_live = max(copy_max_live, numbering.slots(shared(live)))
         for idx in range(len(block.instructions) - 1, -1, -1):
             inst = block.instructions[idx]
             if inst.is_call:
@@ -278,8 +306,12 @@ def _scan_points(
                 across = live
                 for reg in inst.regs_written():
                     across &= ~bit(reg)
-                info.live_across_calls[(label, idx)] = numbering.materialize(
-                    across
+                site = (label, idx)
+                info.live_across_calls[site] = numbering.materialize(across)
+                info.copy_live_across_calls[site] = (
+                    numbering.materialize(shared(across))
+                    if copies
+                    else info.live_across_calls[site]
                 )
             for reg in inst.regs_written():
                 b = bit(reg)
@@ -294,7 +326,12 @@ def _scan_points(
                         live |= b
                         slots += reg.width
             max_live = max(max_live, slots)
+            if slots > copy_max_live:
+                copy_max_live = max(
+                    copy_max_live, numbering.slots(shared(live))
+                )
     info.max_live = max_live
+    info.copy_max_live = copy_max_live
 
 
 def max_live(fn: Function) -> int:

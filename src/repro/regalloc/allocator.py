@@ -410,38 +410,29 @@ def _offset_local_frames(
 
 
 def minimal_budget(
-    module: Module,
-    kernel_name: str,
-    upper_bound: int = 255,
-    block_size: int = 256,
-    strategy: str | AllocationStrategy | None = None,
+    module: Module, kernel_name: str, upper_bound: int = 255
 ) -> tuple[int, AllocationOutcome]:
     """Smallest register budget allocating the kernel tree spill-free.
 
     Defines the paper's *original* version: "all live values fit into
-    the minimal number of registers".  No spill-free allocation fits in
-    fewer registers than the tree's max-live, so the search starts
-    there and walks upward one register at a time; the first budget
-    that allocates without spilling wins, usually the first one tried.
+    the minimal number of registers".  The search starts at the tree's
+    max-live with each register copy sharing its live source's slot
+    (:func:`kernel_max_live` with ``share_copies``), below which nothing
+    allocates spill-free, and walks upward one register at a time.  The
+    first spill-free budget wins; on the benchmark kernels it is the
+    first one tried.  When no budget up to ``upper_bound`` is
+    spill-free, every budget from the start to the bound is probed and
+    :class:`BudgetError` is raised.
 
-    Returns the budget with its allocation: each probe is a full
-    :func:`allocate_module` with the caller's ``block_size`` and
-    ``strategy`` (a spill-free allocation does not depend on either),
-    so the caller gets the original version's allocation without
-    building it again.  Raises :class:`BudgetError` when no budget up
-    to ``upper_bound`` is spill-free.
+    Returns the budget with its allocation, so the caller need not
+    build it again.  Probes use the default block size and strategy: a
+    spill-free allocation is the same under all of them, except that
+    its ``strategy`` field always reads ``local-spill``.
     """
-    for budget in range(
-        max(1, kernel_max_live(module, kernel_name)), upper_bound + 1
-    ):
+    floor = kernel_max_live(module, kernel_name, share_copies=True)
+    for budget in range(max(1, floor), upper_bound + 1):
         try:
-            outcome = allocate_module(
-                module,
-                kernel_name,
-                budget,
-                block_size=block_size,
-                strategy=strategy,
-            )
+            outcome = allocate_module(module, kernel_name, budget)
         except BudgetError:
             continue
         if outcome.spilled_variables == 0:

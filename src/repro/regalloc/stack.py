@@ -231,22 +231,32 @@ def packed_height(widths_and_alignments: list[tuple[int, int]]) -> int:
     return len(taken)
 
 
-def kernel_max_live(module: Module, kernel_name: str) -> int:
+def kernel_max_live(
+    module: Module, kernel_name: str, share_copies: bool = False
+) -> int:
     """Inter-procedural max-live of a kernel's whole call tree.
 
     ``ml(f) = max(own max-live, max over sites (packed live-at-site +
     ml(callee)))`` — the registers a thread needs with perfect (spill
-    free, compressible-stack) allocation, so no spill-free allocation
-    of the tree fits in fewer.
+    free, compressible-stack) allocation.  A register copy and its
+    still-live source count twice, though: interference leaves that
+    pair unconnected and coalescing may merge it.  ``share_copies``
+    counts them once (the ``copy_*`` liveness figures), which makes the
+    result a floor: no spill-free allocation of the tree fits in fewer.
     """
     callgraph = CallGraph(module)
     memo: dict[str, int] = {}
     for name in callgraph.bottom_up_order(kernel_name):
         fn = module.functions[name]
         info = analyze_liveness(fn)
-        best = info.max_live
+        best = info.copy_max_live if share_copies else info.max_live
+        across = (
+            info.copy_live_across_calls
+            if share_copies
+            else info.live_across_calls
+        )
         for block, index, inst in callgraph.call_sites[name]:
-            live = info.live_across_calls[(block, index)]
+            live = across[(block, index)]
             height = packed_height(
                 [(v.width, required_alignment(v.width)) for v in live]
             )

@@ -115,6 +115,53 @@ def call_kernel() -> Module:
     )
 
 
+def copy_kernel() -> Module:
+    """A register copy used beside its source: interference leaves the
+    pair unconnected, so both fit one register."""
+    return module_from_asm(
+        """
+        .module copy
+        .kernel k shared=0
+        BB0:
+            S2R %v0, %tid
+            SHL %v1, %v0, 2
+            LD.global %v2, [%v1+0]
+            MOV %v3, %v2
+            FADD %v4, %v2, %v3
+            ST.global [%v1], %v4
+            EXIT
+        .end
+        """
+    )
+
+
+def copy_call_kernel() -> Module:
+    """A register copy and its source both live across a call."""
+    return module_from_asm(
+        """
+        .module copycall
+        .kernel k shared=0
+        BB0:
+            S2R %v0, %tid
+            SHL %v1, %v0, 2
+            LD.global %v2, [%v1]
+            MOV %v3, %v2
+            CALL %v4, scale(%v2)
+            FADD %v5, %v2, %v3
+            FADD %v6, %v5, %v4
+            ST.global [%v1], %v6
+            EXIT
+        .end
+        .func scale args=1 returns=1
+        BB0:
+            FMUL %v1, %v0, 3.0
+            FADD %v2, %v1, %v0
+            RET %v2
+        .end
+        """
+    )
+
+
 def wide_kernel() -> Module:
     """Uses 64-bit and 128-bit values to exercise wide allocation."""
     return module_from_asm(

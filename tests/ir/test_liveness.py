@@ -5,6 +5,8 @@ from repro.ir.liveness import analyze_liveness, instruction_liveness, max_live
 from repro.isa.registers import VirtualReg
 from tests.helpers import (
     call_kernel,
+    copy_call_kernel,
+    copy_kernel,
     diamond_kernel,
     loop_kernel,
     module_from_asm,
@@ -110,6 +112,38 @@ class TestCallSiteLiveness:
         for live in info.live_across_calls.values():
             pass  # structural check above suffices; ensure no crash
         assert info.max_live >= 2
+
+
+class TestCopyLiveness:
+    def test_copy_beside_its_source_shares_a_slot(self):
+        info = analyze_liveness(copy_kernel().kernel())
+        assert info.max_live == 3  # %v1, %v2 and its copy %v3
+        assert info.copy_max_live == 2
+
+    def test_copy_after_its_source_dies_changes_nothing(self):
+        module = module_from_asm(
+            """
+            .module m
+            .kernel k shared=0
+            BB0:
+                S2R %v0, %tid
+                SHL %v1, %v0, 2
+                LD.global %v2, [%v1]
+                MOV %v3, %v2
+                FMUL %v4, %v3, 2.0
+                ST.global [%v1], %v4
+                EXIT
+            .end
+            """
+        )
+        info = analyze_liveness(module.kernel())
+        assert info.max_live == info.copy_max_live == 2
+
+    def test_copy_across_a_call_shares_a_slot(self):
+        info = analyze_liveness(copy_call_kernel().kernel())
+        (site,) = info.live_across_calls
+        assert info.live_across_calls[site] == {v(1), v(2), v(3)}
+        assert info.copy_live_across_calls[site] == {v(1), v(2)}
 
 
 class TestInstructionLiveness:

@@ -1,10 +1,11 @@
 """The original-version budget search against a binary-search oracle.
 
-``minimal_budget`` walks upward from the kernel's max-live.  The search
-it replaced binary-searched every budget from 1 to the cap; it is kept
-here as the reference, and both must agree on every input: the benchmark
-kernels, fuzz modules of every shape, the hand-written helper kernels
-and decoded (physical-register) Orion binaries.
+``minimal_budget`` walks upward from the kernel's max-live, counting a
+register copy and its live source once.  The search it replaced
+binary-searched every budget from 1 to the cap; it is kept here as the
+reference, and both must agree on every input: the benchmark kernels,
+fuzz modules of every shape, the hand-written helper kernels (copies
+among them) and decoded (physical-register) Orion binaries.
 """
 
 import pytest
@@ -81,11 +82,25 @@ def test_fuzz_modules(shape, seed):
         helpers.loop_kernel,
         helpers.call_kernel,
         helpers.wide_kernel,
+        helpers.copy_kernel,
+        helpers.copy_call_kernel,
     ],
     ids=lambda make: make.__name__,
 )
 def test_helper_kernels(make):
     assert_matches_reference(make(), 63)
+
+
+@pytest.mark.parametrize(
+    "make", [helpers.copy_kernel, helpers.copy_call_kernel]
+)
+def test_copies_take_the_walk_below_max_live(make):
+    # A copy beside its live source shares its register, so max-live
+    # overcounts: the walk must start below it to find the minimum.
+    module = make()
+    budget, _ = minimal_budget(module, "k", 63)
+    assert kernel_max_live(module, "k", share_copies=True) == budget
+    assert kernel_max_live(module, "k") == budget + 1
 
 
 @pytest.fixture(scope="module")
