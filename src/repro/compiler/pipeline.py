@@ -34,7 +34,7 @@ from repro.compiler.multiversion import MultiVersionBinary
 from repro.compiler.realize import KernelVersion
 from repro.compiler.tuning import compile_time_tuning
 from repro.ir.function import Module
-from repro.isa.encoding import decode_module, encode_module
+from repro.isa.encoding import CodecError, decode_module, encode_module
 from repro.obs.spans import span
 from repro.perf.cache import CompileCache, compile_cache_key, default_cache
 from repro.regalloc.allocator import allocate_module
@@ -108,10 +108,13 @@ def compile_binary(
             with span("cache_decode", kernel=kernel_name):
                 try:
                     binary = MultiVersionBinary.from_bytes(payload)
-                except Exception:
+                    binary.decode_modules()
+                except CodecError:
                     # A truncated/corrupted entry (torn disk write, manual
                     # edit) is a miss, not an error; recompiling below
-                    # overwrites it with a good payload.
+                    # overwrites it with a good payload.  Decoding every
+                    # module here catches a corrupt version inside a
+                    # well-framed entry too.
                     pass
                 else:
                     if verify:
@@ -163,11 +166,11 @@ def verify_binary(binary: MultiVersionBinary) -> None:
         for version in (*binary.versions, *binary.failsafe):
             # Padded (downward-tuned) versions share the original's
             # module; one pass per distinct allocation is enough.
-            if id(version.outcome.module) in checked:
+            if id(version.module) in checked:
                 continue
-            checked.add(id(version.outcome.module))
+            checked.add(id(version.module))
             issues = verify_module(
-                version.outcome.module,
+                version.module,
                 physical=True,
                 reg_budget=version.regs_per_thread,
                 interproc=version.outcome.interproc,

@@ -15,12 +15,13 @@ binary actually achieves the target:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from repro.arch.occupancy import min_smem_padding_to_cap_warps
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.ir.function import Module
-from repro.isa.encoding import encode_module
+from repro.isa.encoding import decode_module, encode_module
 from repro.regalloc.allocator import (
     AllocationOutcome,
     BudgetError,
@@ -31,6 +32,10 @@ from repro.regalloc.strategy import AllocationStrategy, get_strategy
 
 class RealizeError(ValueError):
     """Raised when a target occupancy cannot be realised."""
+
+
+#: serializes first reads of :attr:`KernelVersion.module`
+_DECODE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -51,7 +56,21 @@ class KernelVersion:
 
     @property
     def module(self) -> Module:
-        return self.outcome.module
+        """The allocated module.
+
+        A version parsed from a fat binary carries only its ORAS bytes
+        (``outcome.module`` is ``None``) and decodes them here, on the
+        first read, exactly once even when threads race on that read.
+        Raises :class:`~repro.isa.encoding.CodecError` when the bytes do
+        not decode.
+        """
+        module = self.outcome.module
+        if module is None:
+            with _DECODE_LOCK:
+                module = self.outcome.module
+                if module is None:
+                    module = self.outcome.module = decode_module(self.binary)
+        return module
 
     @property
     def kernel_name(self) -> str:

@@ -157,7 +157,7 @@ def _check_versions(
         checked += 1
         try:
             issues = verify_module(
-                version.outcome.module,
+                version.module,
                 physical=True,
                 reg_budget=version.regs_per_thread,
                 interproc=version.outcome.interproc,
@@ -170,7 +170,7 @@ def _check_versions(
                 )
                 continue
             actual = run_kernel(
-                version.outcome.module, _LAUNCH, global_memory=_initial_memory()
+                version.module, _LAUNCH, global_memory=_initial_memory()
             )
             if actual != expected:
                 fail(

@@ -9,7 +9,8 @@ losslessly reverses it.
 
 Layout (little-endian):
 
-* header: magic ``ORAS``, version u16, function count u16, module name;
+* header: magic ``ORAS``, version u16, module name, function count u16,
+  function name table;
 * per function: header (flags, args, shared bytes), block label table,
   then a stream of variable-length instruction records.  Branch targets
   and callees are stored as indices into the block/function tables, so a
@@ -36,7 +37,11 @@ VERSION = 2
 
 
 class CodecError(ValueError):
-    """Raised when a byte stream is not a valid ORAS binary."""
+    """Raised when a byte stream is not a valid ORAS binary.
+
+    :meth:`repro.compiler.multiversion.MultiVersionBinary.from_bytes`
+    raises it for a malformed fat-binary container as well.
+    """
 
 
 _OPCODES = list(Opcode)
@@ -91,45 +96,6 @@ class _Writer:
         return b"".join(self._chunks)
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise CodecError("truncated binary")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self._take(4))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
-    def text(self) -> str:
-        n = self.u16()
-        return self._take(n).decode("utf-8")
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
-
-
 def _encode_operand(w: _Writer, op: Operand) -> None:
     if isinstance(op, VirtualReg):
         w.u8(_TAG_VREG)
@@ -151,23 +117,6 @@ def _encode_operand(w: _Writer, op: Operand) -> None:
             w.i64(op.value)
     else:
         raise CodecError(f"cannot encode operand {op!r}")
-
-
-def _decode_operand(r: _Reader) -> Operand:
-    tag = r.u8()
-    if tag == _TAG_VREG:
-        index = r.u32()
-        return VirtualReg(index, r.u8())
-    if tag == _TAG_PREG:
-        index = r.u32()
-        return PhysReg(index, r.u8())
-    if tag == _TAG_SPECIAL:
-        return _SPECIALS[r.u8()]
-    if tag == _TAG_IMM_INT:
-        return Imm(r.i64())
-    if tag == _TAG_IMM_FLOAT:
-        return Imm(r.f64())
-    raise CodecError(f"unknown operand tag {tag}")
 
 
 def _encode_instruction(
@@ -206,45 +155,6 @@ def _encode_instruction(
         _encode_operand(w, op)
 
 
-def _decode_instruction(
-    r: _Reader, block_names: list[str], func_names: list[str]
-) -> Instruction:
-    opcode = _OPCODES[r.u8()]
-    dst = None
-    if r.u8():
-        decoded = _decode_operand(r)
-        if not isinstance(decoded, (VirtualReg, PhysReg)):
-            raise CodecError("instruction destination must be a register")
-        dst = decoded
-    srcs = [_decode_operand(r) for _ in range(r.u8())]
-    space_idx = r.u8()
-    space = _SPACES[space_idx] if space_idx != _NONE_U8 else None
-    offset = r.i32()
-    cmp_idx = r.u8()
-    cmp = _CMPS[cmp_idx] if cmp_idx != _NONE_U8 else None
-    targets = [block_names[r.u16()] for _ in range(r.u8())]
-    callee_idx = r.u16()
-    callee = func_names[callee_idx] if callee_idx != _NONE_U16 else None
-    special_idx = r.u8()
-    special = _SPECIALS[special_idx] if special_idx != _NONE_U8 else None
-    phi_args = []
-    for _ in range(r.u8()):
-        block = block_names[r.u16()]
-        phi_args.append((block, _decode_operand(r)))
-    return Instruction(
-        opcode=opcode,
-        dst=dst,
-        srcs=srcs,
-        space=space,
-        offset=offset,
-        cmp=cmp,
-        targets=targets,
-        callee=callee,
-        special=special,
-        phi_args=phi_args,
-    )
-
-
 def encode_module(module: Module) -> bytes:
     """Serialise a module to an ORAS binary."""
     w = _Writer()
@@ -275,43 +185,178 @@ def encode_module(module: Module) -> bytes:
     return w.bytes()
 
 
+# ----------------------------------------------------------------------
+# Decoding: one pass over the bytes, with a cursor and precompiled
+# structs.  Every malformed input raises CodecError (see decode_module).
+# ----------------------------------------------------------------------
+_HEADER = struct.Struct("<4sH")  # magic, version
+_FUNCTION = struct.Struct("<BHI")  # flags, argument count, shared bytes
+_U32 = struct.Struct("<I")
+# space, offset, cmp, target count: the fixed fields after the sources
+_MIDDLE = struct.Struct("<BiBB")
+# callee, special, phi count: the fixed fields after the targets
+_TAIL = struct.Struct("<HBB")
+_REG = struct.Struct("<IB")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+
+#: encoded length of an operand, tag byte included, indexed by tag
+_OPERAND_SIZE = (6, 6, 2, 9, 9)
+_SPACE_BY_BYTE = {**dict(enumerate(_SPACES)), _NONE_U8: None}
+_CMP_BY_BYTE = {**dict(enumerate(_CMPS)), _NONE_U8: None}
+_SPECIAL_BY_BYTE = {**dict(enumerate(_SPECIALS)), _NONE_U8: None}
+
+
+def _new_operand(raw: bytes) -> Operand:
+    """The operand one encoded record names, tag byte first."""
+    tag = raw[0]
+    if len(raw) < _OPERAND_SIZE[tag]:
+        raise CodecError("truncated binary")
+    if tag == _TAG_SPECIAL:
+        return _SPECIALS[raw[1]]
+    if tag == _TAG_IMM_INT:
+        return Imm(_I64.unpack_from(raw, 1)[0])
+    if tag == _TAG_IMM_FLOAT:
+        return Imm(_F64.unpack_from(raw, 1)[0])
+    index, width = _REG.unpack_from(raw, 1)
+    return (VirtualReg if tag == _TAG_VREG else PhysReg)(index, width)
+
+
+def _text(data: bytes, pos: int) -> tuple[str, int]:
+    end = pos + 2 + (data[pos] | data[pos + 1] << 8)
+    if end > len(data):
+        raise CodecError("truncated binary")
+    return data[pos + 2 : end].decode("utf-8"), end
+
+
 def decode_module(data: bytes) -> Module:
-    """Decode an ORAS binary back into a module."""
-    r = _Reader(data)
-    if r._take(4) != MAGIC:
-        raise CodecError("bad magic; not an ORAS binary")
-    version = r.u16()
-    if version != VERSION:
-        raise CodecError(f"unsupported ORAS version {version}")
-    module = Module(r.text())
-    num_functions = r.u16()
-    func_names = [r.text() for _ in range(num_functions)]
-    headers: list[Function] = []
-    for name in func_names:
-        flags = r.u8()
-        num_args = r.u16()
-        shared_bytes = r.u32()
-        fn = Function(
-            name,
-            is_kernel=bool(flags & 1),
-            num_args=num_args,
-            shared_bytes=shared_bytes,
-            returns_value=bool(flags & 2),
-        )
-        blocks = [(r.text(), r.u32()) for _ in range(r.u16())]
-        block_names = [label for label, _ in blocks]
-        for label, count in blocks:
-            block = fn.add_block(label)
-            for _ in range(count):
-                block.append(_decode_instruction(r, block_names, func_names))
-        headers.append(fn)
-        module.add(fn)
-    if not r.exhausted:
+    """Decode an ORAS binary back into a module.
+
+    Raises :class:`CodecError`, and no other exception, on any input
+    that is not an encoded module: bad magic or version, truncation,
+    trailing bytes, an out-of-range table index (opcode, space,
+    comparison, special register, block, function or operand tag), an
+    invalid register width, a non-register destination, text that is
+    not UTF-8, a kernel declaring arguments, or a duplicate block or
+    function name.
+    """
+    data = bytes(data)
+    pos = 0
+    try:
+        magic, version = _HEADER.unpack_from(data)
+        if magic != MAGIC:
+            raise CodecError("bad magic; not an ORAS binary")
+        if version != VERSION:
+            raise CodecError(f"unsupported ORAS version {version}")
+        name, pos = _text(data, 6)
+        module = Module(name)
+        nfunctions = data[pos] | data[pos + 1] << 8
+        pos += 2
+        func_names = []
+        for _ in range(nfunctions):
+            name, pos = _text(data, pos)
+            func_names.append(name)
+        callees = {**dict(enumerate(func_names)), _NONE_U16: None}
+        for name in func_names:
+            flags, num_args, shared_bytes = _FUNCTION.unpack_from(data, pos)
+            fn = Function(
+                name,
+                is_kernel=bool(flags & 1),
+                num_args=num_args,
+                shared_bytes=shared_bytes,
+                returns_value=bool(flags & 2),
+            )
+            nblocks = data[pos + 7] | data[pos + 8] << 8
+            pos += 9
+            blocks = []
+            for _ in range(nblocks):
+                label, pos = _text(data, pos)
+                blocks.append((label, _U32.unpack_from(data, pos)[0]))
+                pos += 4
+            block_names = [label for label, _ in blocks]
+            # Operands are immutable, so each distinct encoding is built
+            # once per function.  The memo holds exactly the operands the
+            # function reads or writes, which gives its top virtual index.
+            memo: dict[bytes, Operand] = {}
+            for label, ninstructions in blocks:
+                append = fn.add_block(label).instructions.append
+                for _ in range(ninstructions):
+                    opcode = _OPCODES[data[pos]]
+                    if data[pos + 1]:
+                        pos += 2
+                        if data[pos] > _TAG_PREG:
+                            raise CodecError(
+                                "instruction destination must be a register"
+                            )
+                        end = pos + 6
+                        key = data[pos:end]
+                        dst = memo.get(key)
+                        if dst is None:
+                            dst = memo[key] = _new_operand(key)
+                        pos = end
+                    else:
+                        dst = None
+                        pos += 2
+                    nsrcs = data[pos]
+                    pos += 1
+                    srcs = []
+                    for _ in range(nsrcs):
+                        end = pos + _OPERAND_SIZE[data[pos]]
+                        key = data[pos:end]
+                        op = memo.get(key)
+                        if op is None:
+                            op = memo[key] = _new_operand(key)
+                        srcs.append(op)
+                        pos = end
+                    space, offset, cmp, ntargets = _MIDDLE.unpack_from(data, pos)
+                    pos += 7
+                    targets = []
+                    for _ in range(ntargets):
+                        targets.append(block_names[data[pos] | data[pos + 1] << 8])
+                        pos += 2
+                    callee, special, nphi = _TAIL.unpack_from(data, pos)
+                    pos += 4
+                    phi_args = []
+                    for _ in range(nphi):
+                        block = block_names[data[pos] | data[pos + 1] << 8]
+                        pos += 2
+                        end = pos + _OPERAND_SIZE[data[pos]]
+                        key = data[pos:end]
+                        op = memo.get(key)
+                        if op is None:
+                            op = _new_operand(key)
+                            # Only a PHI reads its incoming operands.
+                            if opcode is Opcode.PHI:
+                                memo[key] = op
+                        phi_args.append((block, op))
+                        pos = end
+                    append(
+                        Instruction(
+                            opcode,
+                            dst,
+                            srcs,
+                            _SPACE_BY_BYTE[space],
+                            offset,
+                            _CMP_BY_BYTE[cmp],
+                            targets,
+                            callees[callee],
+                            _SPECIAL_BY_BYTE[special],
+                            phi_args,
+                        )
+                    )
+            fn.reserve_vregs(
+                max(
+                    (op.index + 1 for op in memo.values() if type(op) is VirtualReg),
+                    default=0,
+                )
+            )
+            module.add(fn)
+    except CodecError:
+        raise
+    except (IndexError, KeyError, ValueError, struct.error) as exc:
+        raise CodecError(
+            f"malformed binary near byte {pos}: {type(exc).__name__}: {exc}"
+        ) from None
+    if pos != len(data):
         raise CodecError("trailing bytes after module")
-    for fn in headers:
-        top = max(
-            (reg.index + 1 for reg in fn.all_regs() if isinstance(reg, VirtualReg)),
-            default=0,
-        )
-        fn.reserve_vregs(top)
     return module

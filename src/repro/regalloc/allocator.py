@@ -48,7 +48,9 @@ class BudgetError(ValueError):
 class AllocationOutcome:
     """An allocated, physically-registered module plus its resource bill."""
 
-    module: Module
+    #: ``None`` for a version parsed from a fat binary until its first
+    #: read through :attr:`repro.compiler.realize.KernelVersion.module`
+    module: Module | None
     kernel_name: str
     registers_per_thread: int
     #: user-declared shared memory + per-block spill promotion overhead

@@ -482,7 +482,12 @@ class ExecutionEngine:
         report: ExecutionReport,
         store_key: str | None,
     ) -> None:
-        """Publish a cold session's converged winner back to the store."""
+        """Publish a cold session's converged winner back to the store.
+
+        Every version is decoded first, measured or not, so a binary
+        whose bytes do not decode never gets a record: the
+        :class:`~repro.isa.encoding.CodecError` propagates instead.
+        """
         if (
             store_key is None
             or session.warm_started_from is not None
@@ -492,6 +497,7 @@ class ExecutionEngine:
         from repro.service.fingerprint import kernel_fingerprint
         from repro.service.store import record_from_report
 
+        session.binary.decode_modules()
         self.tuning_store.put(
             record_from_report(
                 store_key,

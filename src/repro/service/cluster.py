@@ -186,7 +186,9 @@ class Replicator:
     the backlog, and backs off deterministically.  When a behind peer
     answers again, the next frame is preceded by a full snapshot of
     this node's live records (``snapshot_ops``), so a replica that
-    missed arbitrary traffic converges in one exchange.
+    missed arbitrary traffic converges in one exchange.  A peer that is
+    not behind gets only the batch and the current ``generation``: the
+    snapshot is taken only for a peer that needs it.
     """
 
     def __init__(
@@ -194,12 +196,14 @@ class Replicator:
         node_id: str,
         peers: list[str],
         snapshot_ops,  # async () -> (generation, [op dicts])
+        generation,  # () -> the store's current generation id
         peer_timeout: float = 5.0,
         log=None,  # a repro.obs.log.StructuredLogger (default: process)
     ) -> None:
         self.node_id = node_id
         self.peers = list(peers)
         self._snapshot_ops = snapshot_ops
+        self._generation = generation
         self.peer_timeout = peer_timeout
         self._log = log
         #: per-peer queues of (op, trace_id) — the trace of the request
@@ -237,8 +241,12 @@ class Replicator:
                 break
             await asyncio.sleep(0.01)
         for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
+            # On Python 3.11, asyncio.wait_for returns a round trip's
+            # result when the cancellation races its completion, and the
+            # worker then waits for work forever: cancel until it ends.
+            while not task.done():
+                task.cancel()
+                await asyncio.wait([task], timeout=0.1)
             try:
                 await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
@@ -317,17 +325,17 @@ class Replicator:
         trace_id = next(
             (tid for _, tid in batch if tid is not None), None
         )
-        generation, catchup = await self._snapshot_ops()
         if self._behind[peer]:
             # Reconnect after a gap: lead with the full snapshot so the
             # replica converges in one exchange, minus anything the
             # batch itself already carries.
+            generation, catchup = await self._snapshot_ops()
             shipped_keys = {op.get("key") for op in shipped}
             catchup = [
                 op for op in catchup if op.get("key") not in shipped_keys
             ]
         else:
-            catchup = []
+            generation, catchup = self._generation(), []
         ops = catchup + shipped
         wire = protocol.request(
             "replicate",

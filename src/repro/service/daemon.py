@@ -9,6 +9,13 @@ otherwise drives one :class:`~repro.runtime.session.TuningSession`
 through its :class:`~repro.runtime.engine.ExecutionEngine` worker pool
 and publishes the converged result back to the store.
 
+A tune request's binary is parsed only as far as its container
+(:func:`decode_binary`): the store key, the ring owner and forwarding
+read nothing but the raw version bytes, so warm hits and forwarding
+hops decode no module.  A cold tune this node admits decodes every
+version first and answers ``bad-request`` if one does not decode, so no
+job and no record ever exist for such a binary.
+
 Load discipline, in order of application:
 
 1. **single-flight dedup** — concurrent tune requests for the same
@@ -73,7 +80,6 @@ import asyncio
 import base64
 import binascii
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,6 +87,7 @@ from pathlib import Path
 from contextlib import nullcontext
 
 from repro.compiler.multiversion import MultiVersionBinary
+from repro.isa.encoding import CodecError
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import StructuredLogger, get_logger
 from repro.obs.spans import current_span, span, use_hub
@@ -152,17 +159,20 @@ def workload_from_payload(payload: dict) -> Workload:
 
 
 def decode_binary(encoded: str) -> MultiVersionBinary:
+    """A tune request's binary: base64, then the container parse.
+
+    The versions' modules stay undecoded; the daemon decodes them only
+    for a cold tune it admits.  Raises ``ValueError`` on anything
+    malformed, which the daemon answers with ``bad-request``.
+    """
     try:
         raw = base64.b64decode(encoded.encode("ascii"), validate=True)
     except (AttributeError, binascii.Error, UnicodeEncodeError):
         raise ValueError("binary is not valid base64") from None
     try:
         return MultiVersionBinary.from_bytes(raw)
-    except (struct.error, IndexError, KeyError) as exc:
-        # A truncated or garbled container raises low-level decode
-        # errors; normalize them so the daemon answers bad-request
-        # instead of internal.
-        raise ValueError(f"binary is malformed: {type(exc).__name__}") from exc
+    except CodecError as exc:
+        raise ValueError(f"binary is malformed: {exc}") from exc
 
 
 class TuningDaemon:
@@ -242,6 +252,7 @@ class TuningDaemon:
                 self.cluster.node_id,
                 self.cluster.peers,
                 snapshot_ops=self._snapshot_ops,
+                generation=lambda: self.store.generation,
                 peer_timeout=self.cluster.peer_timeout,
                 log=self.log,
             )
@@ -595,6 +606,19 @@ class TuningDaemon:
                         retry_after=self.config.retry_after,
                     ),
                     "queue-full",
+                )
+            try:
+                # Validate before anything is queued or stored.  A joiner
+                # skips this: the key hashes every version's bytes, so
+                # its binary decodes exactly like the admitted one.
+                binary.decode_modules()
+            except CodecError as exc:
+                return (
+                    protocol.error(
+                        protocol.CODE_BAD_REQUEST,
+                        f"binary is malformed: {exc}",
+                    ),
+                    "bad-request",
                 )
             future = self._admit(key, binary, workload)
         try:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.ir.function import Function, Module
 from repro.isa.assembly import parse_module
 
@@ -193,3 +195,41 @@ def pressure_kernel(n: int) -> Module:
     lines += [f"ST.global [%v1], {accum}", "EXIT"]
     body = "\n".join(f"    {line}" for line in lines)
     return module_from_asm(f".module m\n.kernel k shared=0\nBB0:\n{body}\n.end")
+
+
+# ----------------------------------------------------------------------
+# Fat binaries decoded on demand
+# ----------------------------------------------------------------------
+def count_decodes(monkeypatch) -> list:
+    """Record every module decode a :class:`KernelVersion` makes.
+
+    Returns a live list with one entry per decode: the thread that
+    decoded and the bytes it decoded.
+    """
+    from repro.compiler import realize
+
+    calls: list = []
+    original = realize.decode_module
+
+    def counting(data):
+        calls.append((threading.current_thread(), data))
+        return original(data)
+
+    monkeypatch.setattr(realize, "decode_module", counting)
+    return calls
+
+
+def corrupt_version(data: bytes, label: str) -> bytes:
+    """The fat binary ``data`` with version ``label``'s ORAS magic broken.
+
+    The container framing stays valid, so only decoding that one
+    version's module fails.
+    """
+    from repro.compiler.multiversion import MultiVersionBinary
+
+    binary = MultiVersionBinary.from_bytes(data)
+    [version] = [
+        v for v in (*binary.versions, *binary.failsafe) if v.label == label
+    ]
+    version.binary = b"XXXX" + version.binary[4:]
+    return binary.to_bytes()

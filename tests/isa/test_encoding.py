@@ -1,9 +1,20 @@
-"""Binary codec tests, including a hypothesis-generated program round-trip."""
+"""Binary codec tests, including a hypothesis-generated program round-trip.
+
+The one-pass decoder is checked against the field-by-field decoder it
+replaced (``tests/isa/reference_decoder.py``): on every input both
+accept, the modules must be equal instruction by instruction, in the
+same block order, with the same next free virtual register.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.specs import all_architectures
+from repro.bench.kernels import BENCHMARKS
+from repro.fuzz.generator import SHAPES, generate_module
+from repro.harness.experiments import compiled
 from repro.ir.function import Function, Module
+from repro.ir.ssa import construct_ssa
 from repro.isa.assembly import format_module
 from repro.isa.encoding import CodecError, decode_module, encode_module
 from repro.isa.instructions import (
@@ -22,6 +33,29 @@ from tests.helpers import (
     straight_line_kernel,
     wide_kernel,
 )
+from tests.isa.reference_decoder import reference_decode_module
+
+
+def assert_same_module(actual: Module, expected: Module) -> None:
+    """Equal functions, blocks, instructions and next virtual register."""
+    assert actual.name == expected.name
+    assert list(actual.functions) == list(expected.functions)
+    for name, fn in actual.functions.items():
+        ref = expected.functions[name]
+        assert (fn.is_kernel, fn.num_args, fn.shared_bytes, fn.returns_value) == (
+            ref.is_kernel,
+            ref.num_args,
+            ref.shared_bytes,
+            ref.returns_value,
+        )
+        assert fn.block_order == ref.block_order
+        for label in fn.block_order:
+            assert fn.blocks[label].instructions == ref.blocks[label].instructions
+        assert fn._next_vreg == ref._next_vreg
+
+
+def assert_decodes_like_reference(data: bytes) -> None:
+    assert_same_module(decode_module(data), reference_decode_module(data))
 
 
 @pytest.mark.parametrize(
@@ -33,6 +67,7 @@ def test_binary_round_trip_fixtures(make):
     data = encode_module(module)
     again = decode_module(data)
     assert format_module(again) == format_module(module)
+    assert_decodes_like_reference(data)
 
 
 def test_bad_magic_rejected():
@@ -65,8 +100,101 @@ def test_forward_call_reference():
     bb.append(Instruction(Opcode.RET, srcs=[VirtualReg(0)]))
     module.add(late)
 
-    again = decode_module(encode_module(module))
+    data = encode_module(module)
+    again = decode_module(data)
     assert format_module(again) == format_module(module)
+    assert_decodes_like_reference(data)
+
+
+# ----------------------------------------------------------------------
+# One error type: whatever is malformed raises CodecError
+# ----------------------------------------------------------------------
+def _decodes_or_codec_error(data: bytes) -> bool:
+    """True when ``data`` decodes; False when it raises CodecError.
+
+    Any other exception escapes and fails the calling test.
+    """
+    try:
+        decode_module(data)
+    except CodecError as exc:
+        assert type(exc) is CodecError
+        return False
+    return True
+
+
+def test_every_prefix_raises_codec_error():
+    data = encode_module(call_kernel())
+    for cut in range(len(data)):
+        assert not _decodes_or_codec_error(data[:cut]), cut
+
+
+@pytest.mark.parametrize("byte", [0x7F, 0xFE])
+def test_every_single_byte_mutation_decodes_or_raises_codec_error(byte):
+    """The reference decoder raised IndexError, ValueError and
+    UnicodeDecodeError on many of these."""
+    data = encode_module(call_kernel())
+    for offset in range(len(data)):
+        mutated = data[:offset] + bytes([byte]) + data[offset + 1 :]
+        if _decodes_or_codec_error(mutated):
+            assert_decodes_like_reference(mutated)
+
+
+def test_non_register_destination_rejected():
+    module = Module("m")
+    fn = Function("k", is_kernel=True)
+    fn.add_block("BB0").append(Instruction(Opcode.EXIT, dst=VirtualReg(3)))
+    module.add(fn)
+    data = bytearray(encode_module(module))
+    tag = data.index(bytes([0, 3, 0, 0, 0, 1]))  # the dst operand record
+    data[tag] = 2  # the special-register tag
+    with pytest.raises(CodecError, match="destination"):
+        decode_module(bytes(data))
+
+
+# ----------------------------------------------------------------------
+# The one-pass decoder equals the reference decoder
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("strategy", ["local-spill", "smem-spill"])
+@pytest.mark.parametrize("arch", all_architectures(), ids=lambda a: a.name)
+def test_fat_binary_versions_decode_like_reference(arch, strategy):
+    for spec in BENCHMARKS.values():
+        binary = compiled(spec, arch, strategy=strategy)
+        for version in (*binary.versions, *binary.failsafe):
+            assert_decodes_like_reference(version.binary)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_fuzz_modules_decode_like_reference(shape):
+    """Source modules (virtual registers) and their SSA form (PHIs)."""
+    for seed in range(20):
+        module = generate_module(seed, shape)
+        ssa = module.copy()
+        for fn in ssa.functions.values():
+            construct_ssa(fn)
+        for form in (module, ssa):
+            assert_decodes_like_reference(encode_module(form))
+
+
+def test_next_vreg_counts_phi_operands_only_on_phis():
+    """``Function.all_regs`` reads ``phi_args`` only of a PHI, so a
+    stray incoming operand on another opcode must not raise the top."""
+    module = Module("m")
+    fn = Function("k", is_kernel=True)
+    bb = fn.add_block("BB0")
+    bb.append(Instruction(Opcode.MOV, dst=VirtualReg(1), srcs=[Imm(0)]))
+    bb.append(
+        Instruction(Opcode.NOP, phi_args=[("BB0", VirtualReg(40))])
+    )
+    bb.append(
+        Instruction(
+            Opcode.PHI, dst=VirtualReg(2), phi_args=[("BB0", VirtualReg(9))]
+        )
+    )
+    bb.append(Instruction(Opcode.EXIT))
+    module.add(fn)
+    decoded = decode_module(encode_module(module))
+    assert decoded.functions["k"]._next_vreg == 10
+    assert_decodes_like_reference(encode_module(module))
 
 
 # ----------------------------------------------------------------------
@@ -143,5 +271,7 @@ def test_binary_round_trip_random_programs(body):
     bb.append(Instruction(Opcode.EXIT))
     module.add(fn)
 
-    again = decode_module(encode_module(module))
+    data = encode_module(module)
+    again = decode_module(data)
     assert format_module(again) == format_module(module)
+    assert_decodes_like_reference(data)

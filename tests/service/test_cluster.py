@@ -6,6 +6,7 @@ own background event loop, exactly like the single-daemon tests) wired
 into a shared ring, and drive them with the real clients.
 """
 
+import asyncio
 import socket
 import time
 
@@ -25,6 +26,7 @@ from repro.service.client import (
 from repro.service.cluster import (
     ClusterConfig,
     HashRing,
+    Replicator,
     RingError,
     node_address,
     parse_ring,
@@ -33,6 +35,7 @@ from repro.service.daemon import DaemonConfig
 from repro.service.fingerprint import kernel_fingerprint
 from repro.service.store import TuningStore
 from repro.sim import LaunchConfig
+from tests.helpers import count_decodes
 from tests.runtime.test_launcher import pressure_module
 from tests.service.test_daemon import DaemonHarness
 
@@ -269,6 +272,27 @@ class TestClusterIntegration:
             assert warm["node"] == node  # served locally, no forward
         assert _backend_invocations() == before  # zero-trial warm hits
 
+    def test_forwarding_entry_node_decodes_nothing(
+        self, cluster, binary, workload, monkeypatch
+    ):
+        """Only the owner decodes, once per version, on its cold path;
+        the entry node and every later warm hit decode nothing."""
+        owner = cluster.owner_of(kernel_fingerprint(binary))
+        entry = next(node for node in cluster.ring if node != owner)
+        decodes = count_decodes(monkeypatch)
+        response = cluster.client(entry, timeout=60.0).tune(binary, workload)
+        assert response["source"] == "tuned"
+        assert response["node"] == owner
+        assert len(decodes) == binary.version_count()
+        assert cluster.harnesses[owner]._thread in {t for t, _ in decodes}
+        assert cluster.harnesses[entry]._thread not in {t for t, _ in decodes}
+        cluster.wait_replicated(response["key"], cluster.ring)
+        decodes.clear()
+        for node in cluster.ring:
+            warm = cluster.client(node, timeout=60.0).tune(binary, workload)
+            assert warm["source"] == "store"
+        assert decodes == []
+
     def test_invalidate_broadcasts_ring_wide(
         self, cluster, binary, workload
     ):
@@ -383,6 +407,137 @@ class TestClusterIntegration:
         ).result(timeout=10)
         assert health["ok"] is True
         assert health["cluster"]["node_id"] == node
+
+
+class _Replica:
+    """A peer that acknowledges every ``replicate`` frame and keeps it."""
+
+    def __init__(self) -> None:
+        self.frames: list[dict] = []
+        self._server = None
+
+    async def start(self, port: int) -> None:
+        self._server = await asyncio.start_server(self._handle, "127.0.0.1", port)
+
+    async def _handle(self, reader, writer) -> None:
+        frame = await protocol.read_frame(reader)
+        self.frames.append(frame)
+        await protocol.write_frame(writer, protocol.ok(applied=len(frame["ops"])))
+        writer.close()
+
+    async def stop(self) -> None:
+        self._server.close()
+        await self._server.wait_closed()
+
+    def shipped(self) -> list[str]:
+        return [op["key"] for frame in self.frames for op in frame["ops"]]
+
+
+def _put(key: str) -> dict:
+    return {"op": "put", "key": key, "seq": 1, "record": {"kernel": "k"}}
+
+
+async def _drained(replicator: Replicator, timeout: float = 10.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while any(replicator.backlog().values()) or replicator.behind():
+        assert asyncio.get_running_loop().time() < deadline, "never drained"
+        await asyncio.sleep(0.01)
+
+
+class TestReplicatorSnapshots:
+    """The full-store snapshot is taken only for a peer that is behind."""
+
+    @staticmethod
+    def _replicator(peer: str, snapshots: list) -> Replicator:
+        async def snapshot_ops():
+            snapshots.append(1)
+            return "gen-1", [_put("old"), _put("k0")]
+
+        return Replicator(
+            "127.0.0.1:1",
+            [peer],
+            snapshot_ops=snapshot_ops,
+            generation=lambda: "gen-1",
+            peer_timeout=5.0,
+        )
+
+    def test_healthy_peer_batches_take_no_snapshot(self):
+        async def run() -> tuple[list, _Replica]:
+            replica, snapshots = _Replica(), []
+            [port] = _free_ports(1)
+            await replica.start(port)
+            replicator = self._replicator(f"127.0.0.1:{port}", snapshots)
+            replicator.start()
+            for index in range(5):
+                replicator.publish(_put(f"k{index}"))
+                await _drained(replicator)
+            await replicator.stop()
+            await replica.stop()
+            return snapshots, replica
+
+        snapshots, replica = asyncio.run(run())
+        assert snapshots == []
+        assert replica.shipped() == [f"k{index}" for index in range(5)]
+        assert len(replica.frames) == 5
+        assert {frame["generation"] for frame in replica.frames} == {"gen-1"}
+
+    def test_behind_peer_catches_up_with_one_snapshot(self):
+        async def run() -> tuple[list, _Replica]:
+            replica, snapshots = _Replica(), []
+            [port] = _free_ports(1)
+            replicator = self._replicator(f"127.0.0.1:{port}", snapshots)
+            replicator.start()
+            replicator.publish(_put("k0"))
+            deadline = asyncio.get_running_loop().time() + 10.0
+            while not replicator.behind():  # the peer is not listening yet
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.01)
+            await replica.start(port)
+            await _drained(replicator)
+            replicator.publish(_put("k1"))
+            await _drained(replicator)
+            await replicator.stop()
+            await replica.stop()
+            return snapshots, replica
+
+        snapshots, replica = asyncio.run(run())
+        assert snapshots == [1]
+        # The catch-up frame leads with the snapshot minus the batch's
+        # own keys; the next batch travels alone.
+        assert replica.shipped() == ["old", "k0", "k1"]
+
+
+class TestReplicatorStop:
+    def test_stop_outlasts_a_swallowed_cancellation(self, monkeypatch):
+        """Python 3.11's ``asyncio.wait_for`` returns a reply that races
+        the cancellation, so ``_ship`` may return normally under
+        ``cancel()``; ``stop`` must still end the worker."""
+        shipping = asyncio.Event()
+
+        async def swallowing_ship(self, peer, batch):
+            shipping.set()
+            try:
+                await asyncio.sleep(60)
+            except asyncio.CancelledError:
+                pass
+
+        monkeypatch.setattr(Replicator, "_ship", swallowing_ship)
+
+        async def run() -> None:
+            replicator = Replicator(
+                "127.0.0.1:1",
+                ["127.0.0.1:2"],
+                snapshot_ops=None,
+                generation=lambda: None,
+            )
+            replicator.start()
+            replicator.publish(_put("k0"))
+            await shipping.wait()
+            stopping = asyncio.ensure_future(replicator.stop(flush_timeout=0.0))
+            await asyncio.wait([stopping], timeout=2.0)
+            assert stopping.done(), "stop() is waiting on a live worker"
+
+        asyncio.run(run())
 
 
 class TestSingleDaemonUnchanged:

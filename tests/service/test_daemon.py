@@ -7,6 +7,7 @@ socket.
 """
 
 import asyncio
+import base64
 import socket
 import struct
 import threading
@@ -30,6 +31,7 @@ from repro.service.daemon import DaemonConfig, TuningDaemon
 from repro.service.store import TuningStore
 from repro.sim import LaunchConfig
 from repro.sim.backend import get_backend
+from tests.helpers import corrupt_version, count_decodes
 from tests.runtime.test_launcher import pressure_module
 
 
@@ -168,6 +170,65 @@ class TestWarmStartViaDaemon:
             assert client.tune(binary, workload)["source"] == "tuned"
 
 
+def _raw_tune(port: int, raw: bytes, workload: dict | None = None) -> dict:
+    """One tune request carrying ``raw`` as its binary, bypassing the client."""
+    payload = protocol.request(
+        "tune",
+        binary=base64.b64encode(raw).decode(),
+        workload=workload or {},
+    )
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        protocol.send_frame(sock, payload)
+        return protocol.recv_frame(sock)
+
+
+class TestDecodeOnDemand:
+    """A daemon decodes a binary's modules only for a cold tune it admits."""
+
+    def test_cold_tune_decodes_each_version_once_warm_hit_none(
+        self, tmp_path, binary, workload, monkeypatch
+    ):
+        store = TuningStore(tmp_path / "s.jsonl")
+        with DaemonHarness(store) as harness:
+            decodes = count_decodes(monkeypatch)
+            assert harness.client().tune(binary, workload)["source"] == "tuned"
+            assert sorted(payload for _, payload in decodes) == sorted(
+                v.binary for v in (*binary.versions, *binary.failsafe)
+            )
+            decodes.clear()
+            assert harness.client().tune(binary, workload)["source"] == "store"
+            assert decodes == []
+
+    def test_corrupt_version_is_a_bad_request_with_no_job_or_record(
+        self, tmp_path, binary, workload, monkeypatch
+    ):
+        """Valid framing, one version that does not decode: the fail-safe
+        version, which a converging tune might never measure."""
+        admitted = []
+        original_admit = TuningDaemon._admit
+
+        def admit(self, key, *args):
+            admitted.append(key)
+            return original_admit(self, key, *args)
+
+        monkeypatch.setattr(TuningDaemon, "_admit", admit)
+        store = TuningStore(tmp_path / "s.jsonl")
+        raw = corrupt_version(binary.to_bytes(), binary.failsafe[-1].label)
+        before = _backend_invocations()
+        with DaemonHarness(store) as harness:
+            response = _raw_tune(
+                harness.port,
+                raw,
+                {"grid_blocks": 64, "block_size": 256, "iterations": 10},
+            )
+            assert response["code"] == protocol.CODE_BAD_REQUEST
+            assert "magic" in response["error"]
+            assert harness.client().stats()["daemon"]["pending"] == 0
+        assert admitted == []
+        assert _backend_invocations() == before
+        assert len(store) == 0 and store.stats().puts == 0
+
+
 class TestDaemonRobustness:
     def test_survives_malformed_frames_and_requests(
         self, tmp_path, binary, workload
@@ -205,6 +266,13 @@ class TestDaemonRobustness:
                     sock, protocol.request("tune", binary=torn, workload={})
                 )
                 assert protocol.recv_frame(sock)["code"] == protocol.CODE_BAD_REQUEST
+            # A whole container plus trailing garbage, and one whose last
+            # version section is cut short: both are framing errors.
+            data = binary.to_bytes()
+            for raw in (data + b"trailing-garbage", data[:-1]):
+                response = _raw_tune(harness.port, raw)
+                assert response["code"] == protocol.CODE_BAD_REQUEST
+                assert "malformed" in response["error"]
             # After all that abuse the daemon still serves real work.
             client = harness.client()
             assert client.ping()["ok"] is True

@@ -10,7 +10,11 @@ for the next process to reuse.
 import pytest
 
 from repro.arch import GTX680
+from repro.bench.kernels import BENCHMARKS
 from repro.compiler import CompileOptions, compile_binary
+from repro.compiler.multiversion import MultiVersionBinary
+from repro.harness.experiments import compiled
+from repro.isa.encoding import CodecError
 from repro.obs.metrics import get_registry
 from repro.runtime import Workload
 from repro.runtime.engine import ExecutionEngine
@@ -18,6 +22,7 @@ from repro.runtime.session import TuningSession
 from repro.runtime.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.service.store import TuningRecord, TuningStore
 from repro.sim import LaunchConfig
+from tests.helpers import corrupt_version
 from tests.runtime.test_launcher import pressure_module
 
 
@@ -54,6 +59,34 @@ class TestColdPublish:
         assert stored.total_cycles == report.total_cycles
         assert stored.iterations_to_converge == report.iterations_to_converge
         assert sink.of(EventKind.WARM_START) == []
+
+    def test_undecodable_version_is_never_published(self, tmp_path):
+        """hotspot's "conservative warps=64" is never measured on the
+        analytical backend, so only the publish step reads it."""
+        spec = BENCHMARKS["hotspot"]
+        label = "conservative warps=64"
+        binary = compiled(spec, GTX680, strategy="local-spill")
+        raw = corrupt_version(binary.to_bytes(), label)
+        wl = spec.workload
+        workload = Workload(
+            launch=wl.launch(),
+            iterations=wl.iterations,
+            traits=wl.traits,
+            ilp=wl.ilp,
+            max_events_per_warp=wl.max_events_per_warp,
+        )
+        unstored = MultiVersionBinary.from_bytes(raw)
+        report = ExecutionEngine(GTX680, backend="analytical").run(
+            TuningSession(unstored, workload)
+        )
+        assert report.iterations_to_converge is not None
+        [corrupt] = [v for v in unstored.versions if v.label == label]
+        assert corrupt.outcome.module is None
+        store = TuningStore(tmp_path / "s.jsonl")
+        engine = ExecutionEngine(GTX680, backend="analytical", tuning_store=store)
+        with pytest.raises(CodecError, match="magic"):
+            engine.run(TuningSession(MultiVersionBinary.from_bytes(raw), workload))
+        assert len(store) == 0
 
     def test_no_store_means_no_publishing(self, binary, workload):
         engine, _ = engine_with_sink(None)
