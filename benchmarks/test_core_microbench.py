@@ -19,6 +19,7 @@ from repro.ir.liveness import analyze_liveness
 from repro.ir.ssa import construct_ssa, destruct_ssa
 from repro.regalloc.chaitin import color_graph
 from repro.regalloc.matching import min_cost_assignment
+from repro.sim.gpu import _cached_traces
 from repro.sim.interp import LaunchConfig
 from repro.sim.sm import SMSimulator
 from repro.sim.trace import generate_warp_traces
@@ -112,28 +113,26 @@ def test_bench_sm_simulation(benchmark):
 
 
 # ----------------------------------------------------------------------
-# The three accelerated seams (ISSUE 6).  One microbench per seam so a
-# future regression localizes to simulator wave, matcher solve, or
-# engine dispatch instead of the whole suite.
+# One microbench per hot seam (simulator wave, matcher solve, engine
+# dispatch), so a future regression localizes to one of them instead of
+# the whole suite.
 # ----------------------------------------------------------------------
-def test_bench_sm_wave_accelerated(benchmark, monkeypatch):
-    """Simulator wave through the flat-array fast path."""
-    if accel.numpy_or_none() is None:
-        pytest.skip("numpy not installed")
-    monkeypatch.setenv("ORION_ACCEL", "numpy")
+def test_bench_sm_wave_flat_traces(benchmark):
+    """Simulator wave on flat-only traces, the trace cache's form."""
     module = BENCHMARKS["srad"].build()
     launch = LaunchConfig(grid_blocks=8, block_size=256)
-    traces = generate_warp_traces(
-        module, "kernel", launch, 16, max_events_per_warp=800
-    )
+    traces = _cached_traces(module, "kernel", launch, 16, None, 800, 128)
+    assert all(t.flat is not None and not t.events for t in traces)
     sim = SMSimulator(GTX680)
 
     def run():
         return sim.run(list(traces), warps_per_block=8)
 
-    accelerated = benchmark.pedantic(run, rounds=3, iterations=1)
-    monkeypatch.setenv("ORION_ACCEL", "off")
-    assert sim.run(list(traces), warps_per_block=8).cycles == accelerated.cycles
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    events = generate_warp_traces(
+        module, "kernel", launch, 16, max_events_per_warp=800
+    )
+    assert sim.run(events, warps_per_block=8) == result
 
 
 def test_bench_matcher_solve_lapjv_40x40(benchmark, monkeypatch):

@@ -1,21 +1,20 @@
 """Optional-accelerator gate: the ``ORION_ACCEL`` switch.
 
-The runtime keeps ``dependencies = []``: numpy and scipy are *optional*
-accelerators (the ``accel`` extra), never requirements.  Every fast
-path in the tree — the vectorized timing-simulator kernel
-(:mod:`repro.sim.flat`), the LAPJV matcher
-(:mod:`repro.regalloc.matching`) — asks this module whether its
-accelerator is available, and the pure-Python implementation remains
-the reference semantics either way: accelerated results are
-byte-identical, only faster.
+The runtime keeps ``dependencies = []``: scipy is an *optional*
+accelerator (the ``accel`` extra), never a requirement.  The one fast
+path behind it, the LAPJV matcher (:mod:`repro.regalloc.matching`),
+asks this module whether scipy is available, and the pure-Python
+Kuhn–Munkres solver remains the reference either way: the accelerated
+assignment has the same cost.  The timing simulator has a single
+pure-Python path and does not consult this switch.
 
-``ORION_ACCEL`` selects the backend:
+``ORION_ACCEL`` selects the matcher:
 
-* ``auto`` (default) — use an accelerator when its library imports;
-* ``numpy`` — prefer accelerators; a missing library still degrades
+* ``auto`` (default) — use LAPJV when scipy imports;
+* ``numpy`` — the same preference; a missing library still degrades
   silently to the pure path (with a one-time
   ``orion_accel_fallback_total`` increment), never a crash;
-* ``off`` — pure Python everywhere, the reference configuration.
+* ``off`` — the pure-Python matcher, the reference configuration.
 
 Import failures are recorded once per process and library in the
 ``orion_accel_fallback_total`` counter so a fleet operator can see
@@ -49,9 +48,7 @@ def _import(library: str):
         if library in _imports:
             return _imports[library]
     try:
-        if library == "numpy":
-            import numpy as module
-        elif library == "scipy.optimize":
+        if library == "scipy.optimize":
             import scipy.optimize as module
         else:  # pragma: no cover - no other accelerators registered
             raise ImportError(library)
@@ -74,13 +71,6 @@ def _count_fallback(library: str) -> None:
     ).inc(library=library)
 
 
-def numpy_or_none():
-    """The numpy module when accel is on and numpy imports, else None."""
-    if accel_mode() == "off":
-        return None
-    return _import("numpy")
-
-
 def scipy_optimize_or_none():
     """``scipy.optimize`` when accel is on and scipy imports, else None."""
     if accel_mode() == "off":
@@ -99,12 +89,9 @@ def count_selected(seam: str, impl: str) -> None:
 
 
 def accel_info() -> dict:
-    """Snapshot for bench reports: mode plus per-library availability."""
+    """Snapshot for bench reports: mode plus scipy's availability."""
     return {
         "mode": accel_mode(),
-        "numpy": _import("numpy") is not None
-        if accel_mode() != "off"
-        else None,
         "scipy": _import("scipy.optimize") is not None
         if accel_mode() != "off"
         else None,

@@ -132,6 +132,12 @@ class MultiVersionBinary:
         keys, :meth:`to_bytes`) decodes nothing;
         :meth:`decode_modules` decodes them all at once.
 
+        Versions whose bytes and resource fields are equal (the padded
+        variants :func:`~repro.compiler.realize.repad_version` made of
+        one allocation) share one :class:`AllocationOutcome`, as they
+        did when compiled: their module is decoded once, and the
+        simulator's per-module trace cache serves them all.
+
         Raises :class:`~repro.isa.encoding.CodecError` when the framing
         is malformed: bad magic, a section running past the end, an
         empty version, bytes after the last version, or a manifest that
@@ -152,9 +158,13 @@ class MultiVersionBinary:
                 raise CodecError("truncated multi-version binary")
             return data[start:cursor]
 
+        outcomes: dict[tuple, AllocationOutcome] = {}
+
         def read_versions(metas: list[dict]) -> list[KernelVersion]:
             return [
-                _version_from_meta(meta, section(), manifest["kernel_name"])
+                _version_from_meta(
+                    meta, section(), manifest["kernel_name"], outcomes
+                )
                 for meta in metas
             ]
 
@@ -211,22 +221,33 @@ def _version_meta(v: KernelVersion) -> dict:
 
 
 def _version_from_meta(
-    meta: dict, binary: bytes, kernel_name: str
+    meta: dict,
+    binary: bytes,
+    kernel_name: str,
+    outcomes: dict[tuple, AllocationOutcome],
 ) -> KernelVersion:
+    """One parsed version; ``outcomes`` holds the outcomes already made,
+    keyed by bytes and resource fields, for the versions to share."""
     if not binary:
         raise CodecError(f"version {meta['label']!r} has no bytes")
     strategy = meta.get("strategy", "local-spill")
-    outcome = AllocationOutcome(
-        module=None,  # decoded on the first read of KernelVersion.module
-        kernel_name=kernel_name,
-        registers_per_thread=meta["regs_per_thread"],
-        shared_bytes_per_block=meta["smem_per_block"] - meta["smem_padding"],
-        local_bytes_per_thread=meta["local_bytes_per_thread"],
-        spilled_variables=meta["spilled_variables"],
-        stack_moves=meta["stack_moves"],
-        strategy=strategy,
-        smem_spill_slots=meta.get("smem_spill_slots", 0),
-    )
+    fields = {
+        "registers_per_thread": meta["regs_per_thread"],
+        "shared_bytes_per_block": meta["smem_per_block"] - meta["smem_padding"],
+        "local_bytes_per_thread": meta["local_bytes_per_thread"],
+        "spilled_variables": meta["spilled_variables"],
+        "stack_moves": meta["stack_moves"],
+        "strategy": strategy,
+        "smem_spill_slots": meta.get("smem_spill_slots", 0),
+    }
+    key = (binary, *fields.values())
+    outcome = outcomes.get(key)
+    if outcome is None:
+        outcome = outcomes[key] = AllocationOutcome(
+            module=None,  # decoded on the first read of KernelVersion.module
+            kernel_name=kernel_name,
+            **fields,
+        )
     return KernelVersion(
         label=meta["label"],
         target_warps=meta["target_warps"],

@@ -60,9 +60,10 @@ class KernelVersion:
 
         A version parsed from a fat binary carries only its ORAS bytes
         (``outcome.module`` is ``None``) and decodes them here, on the
-        first read, exactly once even when threads race on that read.
-        Raises :class:`~repro.isa.encoding.CodecError` when the bytes do
-        not decode.
+        first read, exactly once even when threads race on that read;
+        versions sharing the outcome share that one decode.  Raises
+        :class:`~repro.isa.encoding.CodecError` when the bytes do not
+        decode.
         """
         module = self.outcome.module
         if module is None:

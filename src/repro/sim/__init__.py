@@ -21,7 +21,7 @@ from repro.sim.backend import (
 from repro.sim.energy import EnergyReport, gpu_power, kernel_energy
 from repro.sim.gpu import KernelTiming, LaunchError, simulate_kernel
 from repro.sim.interp import InterpError, Interpreter, LaunchConfig, run_kernel
-from repro.sim.memory import MemoryStats, MemorySubsystem, SetAssociativeCache
+from repro.sim.memory import MemoryStats, SetAssociativeCache
 from repro.sim.sm import SMResult, SMSimulator
 from repro.sim.trace import (
     MemoryTraits,
@@ -53,7 +53,6 @@ __all__ = [
     "LaunchConfig",
     "LaunchError",
     "MemoryStats",
-    "MemorySubsystem",
     "MemoryTraits",
     "SetAssociativeCache",
     "SMResult",

@@ -1,19 +1,22 @@
-"""Flattened fast path for the SM timing simulator (``ORION_ACCEL``).
+"""The SM timing simulator's event loop (the body of ``SMSimulator.run``).
 
-:class:`~repro.sim.sm.SMSimulator` is an event-driven loop: per event it
-pays dataclass attribute walks, a ``FuncUnit`` identity ladder, and —
-for memory events — per-line set-index hashing and MSHR list filtering.
-This module batches each warp's event stream into flat arrays up front
-(unit codes, issue costs, latency deltas, line counts) and precomputes
-every line's cache tag and L1/L2 set index in one vectorized numpy pass,
-so the hot loop is list indexing plus the same heap scheduling.
+Each warp's trace is read as flat arrays (unit codes, line counts,
+space codes, touched lines): the simulator's trace cache records them
+directly, and an event trace is encoded once (:func:`_flatten_trace`).
+Per trace and cache geometry, every line's tag and L1/L2 set index are
+hashed up front and issue costs tabled, so the loop is list indexing
+plus heap scheduling, with memory modelled inline:
 
-The semantics are the reference semantics, replicated operation for
-operation: identical floats, identical LRU/MSHR state evolution,
-identical tie-breaks, so :func:`run_flat` returns byte-identical
-results to ``SMSimulator.run`` — only faster.  The pure loop in
-``sm.py`` stays the reference; dispatch lives there, gated on
-:func:`repro.accel.numpy_or_none`.
+* an MSHR window of ``max_outstanding_memory`` requests (a request
+  past it waits for the earliest completion);
+* LRU set-associative L1 and L2 tag arrays; local (spill) traffic is
+  always L1-cached, global traffic only where the architecture's L1
+  caches globals, and everything else goes straight to L2;
+* DRAM serving one transaction per ``dram_service_interval`` cycles.
+
+The pure event loop this one replaced stays in the test suite
+(``tests/sim/reference_sm.py``) as the oracle: every ``SMResult``
+field must equal its result.
 """
 
 from __future__ import annotations
@@ -37,27 +40,23 @@ from repro.sim.trace import (
     WarpTrace,
 )
 
-# Unit codes (flat-array encoding of the FuncUnit ladder in sm.py) and
-# space codes (what decides L1 participation) are shared with trace.py,
-# whose accelerated tracing path emits the same arrays directly:
+# Unit codes (the flat encoding of the ``FuncUnit`` ladder) and space
+# codes (what decides L1 participation) are shared with trace.py, whose
+# cached tracing path emits the same arrays directly:
 #   _ALU/_MEM/_SMEM/_SFU/_CTRL/_BARRIER;
 #   _SP_GLOBAL (L1 only when arch.l1_caches_global), _SP_LOCAL (spill
 #   traffic: always L1), _SP_OTHER (straight to L2), _SP_SHARED (shared
 #   space routed through a MEM event: fixed latency).
 
-#: tags below this bound keep ``folded * 2654435761`` inside int64
-_VECTOR_TAG_BOUND = 1 << 31
-
 
 def _flatten_trace(trace: WarpTrace):
     """(codes, counts, spaces, lines) arrays for one warp trace.
 
-    Memoized on the trace object: the gpu-level trace cache hands the
-    same ``WarpTrace`` instances to many simulations.
+    A trace from the simulator's trace cache carries them already; an
+    event trace is encoded once and keeps the result in ``trace.flat``.
     """
-    cached = getattr(trace, "_flat", None)
-    if cached is not None:
-        return cached
+    if trace.flat is not None:
+        return trace.flat
     codes: list[int] = []
     counts: list[int] = []
     spaces: list[int] = []
@@ -89,22 +88,20 @@ def _flatten_trace(trace: WarpTrace):
                 codes.append(_SFU)
             elif unit is FuncUnit.CTRL:
                 codes.append(_CTRL)
-            else:  # ALU and everything else, as in the reference ladder
+            else:  # ALU and every other unit issue as ALU work
                 codes.append(_ALU)
             counts.append(0)
             spaces.append(_SP_OTHER)
-    flat = (codes, counts, spaces, lines)
-    trace._flat = flat
-    return flat
+    trace.flat = (codes, counts, spaces, lines)
+    return trace.flat
 
 
 def _line_tables(trace: WarpTrace, lines: list[int], line_bytes: int,
-                 l1_sets: int, l2_sets: int, np):
+                 l1_sets: int, l2_sets: int):
     """Per-occurrence (tags, l1 indices, l2 indices) for a warp's lines.
 
-    Vectorized with numpy when every tag fits the int64-safe hash
-    window; otherwise the reference per-line hash.  Memoized per cache
-    geometry on the trace object.
+    The set index is :meth:`SetAssociativeCache._set_index`'s hash.
+    Memoized per cache geometry on the trace object.
     """
     key = (line_bytes, l1_sets, l2_sets)
     memo = getattr(trace, "_flat_lines", None)
@@ -112,49 +109,25 @@ def _line_tables(trace: WarpTrace, lines: list[int], line_bytes: int,
         memo = {}
         trace._flat_lines = memo
     tables = memo.get(key)
-    if tables is not None:
-        return tables
-    if not lines:
-        tables = ((), (), ())
-        memo[key] = tables
-        return tables
-    tags = None
-    try:
-        arr = np.asarray(lines, dtype=np.int64)
-    except OverflowError:
-        arr = None
-    if arr is not None:
-        t = arr // line_bytes
-        if 0 <= int(t.min()) and int(t.max()) < _VECTOR_TAG_BOUND:
-            folded = t ^ (t >> 7) ^ (t >> 13) ^ (t >> 19)
-            hashed = (folded * 2654435761) >> 8
-            tables = (
-                t.tolist(),
-                (hashed % l1_sets).tolist(),
-                (hashed % l2_sets).tolist(),
-            )
-            memo[key] = tables
-            return tables
-        tags = t.tolist()
-    if tags is None:
+    if tables is None:
         tags = [line // line_bytes for line in lines]
-    l1_idx = []
-    l2_idx = []
-    for tag in tags:
-        folded = tag ^ (tag >> 7) ^ (tag >> 13) ^ (tag >> 19)
-        hashed = folded * 2654435761 >> 8
-        l1_idx.append(hashed % l1_sets)
-        l2_idx.append(hashed % l2_sets)
-    tables = (tags, l1_idx, l2_idx)
-    memo[key] = tables
+        hashed = [
+            (tag ^ (tag >> 7) ^ (tag >> 13) ^ (tag >> 19)) * 2654435761 >> 8
+            for tag in tags
+        ]
+        tables = memo[key] = (
+            tags,
+            [h % l1_sets for h in hashed],
+            [h % l2_sets for h in hashed],
+        )
     return tables
 
 
-def run_flat(sim, traces: list[WarpTrace], warps_per_block: int, np):
-    """Fast-path equivalent of ``SMSimulator.run`` body (non-empty traces).
+def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
+    """The body of ``SMSimulator.run`` for a non-empty ``traces``.
 
     Returns ``(cycles, instructions, MemoryStats, issue_stalls,
-    barriers)`` — the caller wraps it in ``SMResult``.
+    barriers)``; the caller wraps it in ``SMResult``.
     """
     arch = sim.arch
     l1 = SetAssociativeCache(
@@ -206,7 +179,7 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int, np):
     for trace in traces:
         codes, counts, spaces, lines = _flatten_trace(trace)
         tags, l1i, l2i = _line_tables(
-            trace, lines, line_bytes, l1.num_sets, l2.num_sets, np
+            trace, lines, line_bytes, l1.num_sets, l2.num_sets
         )
         # Issue costs depend only on the event stream and three floats,
         # so they are memoized per trace like the line tables (sweeps

@@ -15,12 +15,10 @@ kernel genuinely run at different occupancies here.
 
 from __future__ import annotations
 
-import math
-import weakref
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro import accel
 from repro.arch.occupancy import OccupancyResult
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.ir.function import Module
@@ -39,15 +37,18 @@ class LaunchError(RuntimeError):
     """Raised when a kernel configuration cannot run on the architecture."""
 
 
-#: Per-module warp-trace cache for the accelerated path.  Warp *w*'s
-#: trace is independent of how many warps are resident, so an occupancy
-#: sweep over the same binary only ever traces each warp once and then
-#: reuses (and incrementally extends) the cached list.  Keyed by module
-#: identity (held weakly — a dead module invalidates its entry) plus
-#: everything else trace generation depends on; bounded LRU so candidate
-#: churn during tuning cannot grow it without limit.
+#: Per-module warp-trace cache.  Warp *w*'s trace is independent of how
+#: many warps are resident, so an occupancy sweep over the same binary
+#: traces each warp once and then reuses (and extends) the cached list.
+#: Keyed by the module object (the entry's interpreter holds it, so it
+#: stays alive while cached) plus everything else trace generation
+#: depends on; bounded LRU so candidate churn during tuning cannot grow
+#: it without limit.  ``_TRACE_CACHE_LOCK`` guards the dict; each entry's
+#: own lock serialises its extension, since tracing drives the entry's
+#: one interpreter through a whole warp.
 _TRACE_CACHE: OrderedDict = OrderedDict()
 _TRACE_CACHE_MAX = 8
+_TRACE_CACHE_LOCK = threading.Lock()
 
 
 def _cached_traces(
@@ -61,7 +62,7 @@ def _cached_traces(
 ) -> list[WarpTrace]:
     traits = traits or MemoryTraits()
     key = (
-        id(module),
+        module,
         kernel_name,
         launch.grid_blocks,
         launch.block_size,
@@ -70,38 +71,38 @@ def _cached_traces(
         max_events_per_warp,
         line_bytes,
     )
-    entry = _TRACE_CACHE.get(key)
-    if entry is not None and entry[0]() is not module:
-        entry = None  # id() was recycled by a new module
-    if entry is None:
-        interp = Interpreter(
-            module, max_steps=max(10 * max_events_per_warp, 100_000)
-        )
-        entry = (weakref.ref(module), interp, [])
-        _TRACE_CACHE[key] = entry
-        while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
-            _TRACE_CACHE.popitem(last=False)
-    _TRACE_CACHE.move_to_end(key)
-    _, interp, traces = entry
-    if len(traces) < resident:
-        kernel = module.functions[kernel_name]
-        warps_per_block = max(1, (launch.block_size + 31) // 32)
-        for w in range(len(traces), resident):
-            traces.append(
-                _trace_warp(
-                    interp,
-                    kernel,
-                    launch,
-                    w,
-                    warps_per_block,
-                    traits,
-                    max_events_per_warp,
-                    None,
-                    line_bytes,
-                    collect_flat=True,
-                )
+    with _TRACE_CACHE_LOCK:
+        entry = _TRACE_CACHE.get(key)
+        if entry is None:
+            interp = Interpreter(
+                module, max_steps=max(10 * max_events_per_warp, 100_000)
             )
-    return traces[:resident]
+            entry = _TRACE_CACHE[key] = (interp, [], threading.Lock())
+            while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
+                _TRACE_CACHE.popitem(last=False)
+        else:
+            _TRACE_CACHE.move_to_end(key)
+    interp, traces, lock = entry
+    with lock:
+        if len(traces) < resident:
+            kernel = module.functions[kernel_name]
+            warps_per_block = max(1, (launch.block_size + 31) // 32)
+            for w in range(len(traces), resident):
+                traces.append(
+                    _trace_warp(
+                        interp,
+                        kernel,
+                        launch,
+                        w,
+                        warps_per_block,
+                        traits,
+                        max_events_per_warp,
+                        None,
+                        line_bytes,
+                        collect_flat=True,
+                    )
+                )
+        return traces[:resident]
 
 
 @dataclass
@@ -148,7 +149,8 @@ def simulate_kernel(
     launch size.  ``strategy`` (an allocation-strategy id; ``None`` =
     the reference ``local-spill``) controls the occupancy arithmetic
     and, for soft-limit strategies, adds the oversubscription swap cost
-    to the SM model.
+    to the SM model.  Without ``global_memory`` the warp traces come
+    from the per-module trace cache; with it they are traced afresh.
     """
     strat = get_strategy(strategy)
     occ = strat.occupancy(
@@ -164,7 +166,7 @@ def simulate_kernel(
     resident = occ.active_warps if forced_warps is None else forced_warps
     resident = max(warps_per_block, min(resident, total_warps))
 
-    if global_memory is None and accel.accel_mode() != "off":
+    if global_memory is None:
         traces = _cached_traces(
             module,
             kernel_name,

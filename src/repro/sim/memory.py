@@ -1,7 +1,8 @@
 """Memory-hierarchy timing model: L1/L2 caches and DRAM bandwidth.
 
 The occupancy↔performance trade-off the paper tunes comes from three
-mechanisms, all modelled here:
+mechanisms, which the SM loop (:mod:`repro.sim.flat`) applies with the
+cache arrays and counters defined here:
 
 * **latency**: an L1 hit costs tens of cycles, DRAM hundreds — few
   resident warps cannot hide the difference;
@@ -21,10 +22,7 @@ C2075.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.arch.specs import CacheConfig, GpuArchitecture
-from repro.isa.instructions import MemSpace
+from dataclasses import dataclass
 
 
 class SetAssociativeCache:
@@ -99,81 +97,3 @@ class MemoryStats:
     def l1_hit_rate(self) -> float:
         total = self.l1_hits + self.l1_misses
         return self.l1_hits / total if total else 0.0
-
-
-class MemorySubsystem:
-    """Per-SM view of the memory hierarchy with timing."""
-
-    def __init__(
-        self,
-        arch: GpuArchitecture,
-        cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    ) -> None:
-        self.arch = arch
-        self.cache_config = cache_config
-        self.l1 = SetAssociativeCache(
-            arch.l1_cache_bytes(cache_config),
-            arch.cache_line_bytes,
-            arch.l1_associativity,
-        )
-        self.l2 = SetAssociativeCache(
-            arch.l2_bytes_per_sm,
-            arch.cache_line_bytes,
-            arch.l2_associativity,
-        )
-        self.stats = MemoryStats()
-        #: completion times of requests currently in flight (MSHR model)
-        self._in_flight: list[int] = []
-        self._dram_free = 0
-
-    # ------------------------------------------------------------------
-    def request(self, address: int, space: MemSpace, now: int) -> int:
-        """Issue one memory transaction; returns its completion cycle."""
-        arch = self.arch
-        if space is MemSpace.SHARED:
-            self.stats.shared_accesses += 1
-            return now + arch.shared_latency
-
-        # L1 participation: local (spill) traffic is always L1-cached;
-        # global traffic only on architectures whose L1 caches globals.
-        use_l1 = space is MemSpace.LOCAL or (
-            space in (MemSpace.GLOBAL, MemSpace.PARAM) and arch.l1_caches_global
-        )
-
-        start = self._admit(now)
-        if use_l1 and self.l1.access(address):
-            self.stats.l1_hits += 1
-            return start + arch.l1_latency
-        if use_l1:
-            self.stats.l1_misses += 1
-
-        if self.l2.access(address):
-            self.stats.l2_hits += 1
-            done = start + arch.l2_latency
-        else:
-            self.stats.l2_misses += 1
-            self.stats.dram_transactions += 1
-            issue = max(start, self._dram_free)
-            self._dram_free = issue + arch.dram_service_interval
-            done = issue + arch.dram_latency
-        self._track(done)
-        return done
-
-    # ------------------------------------------------------------------
-    def _admit(self, now: int) -> int:
-        """Apply the outstanding-request (MSHR) limit."""
-        limit = self.arch.max_outstanding_memory
-        in_flight = [t for t in self._in_flight if t > now]
-        self._in_flight = in_flight
-        if len(in_flight) < limit:
-            return now
-        self.stats.stalled_requests += 1
-        earliest = min(in_flight)
-        return earliest
-
-    def _track(self, completion: int) -> None:
-        self._in_flight.append(completion)
-        # Bound bookkeeping: keep only the most relevant entries.
-        if len(self._in_flight) > 4 * self.arch.max_outstanding_memory:
-            self._in_flight.sort()
-            self._in_flight = self._in_flight[-self.arch.max_outstanding_memory :]

@@ -8,27 +8,24 @@ knob) and interleaves their traces:
   while other warps wait on memory (latency hiding);
 * ALU/SFU events make the *issuing warp* unavailable for the operation
   latency (dependent-chain model; intra-thread ILP shortens it);
-* memory events go through :class:`~repro.sim.memory.MemorySubsystem`,
-  where cache contention and DRAM bandwidth push back as occupancy
-  grows;
+* memory events go through L1/L2 tag arrays, an MSHR window and a
+  DRAM bandwidth limit, where cache contention and queueing push back
+  as occupancy grows;
 * barriers rendezvous all warps of a thread block.
 
 The simulator is deterministic: greedy oldest-ready-warp scheduling with
-stable tie-breaks, so every experiment is exactly reproducible.
+stable tie-breaks, so every experiment is exactly reproducible.  The
+loop itself is :func:`repro.sim.flat.run_flat`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro import accel
 from repro.arch.specs import CacheConfig, GpuArchitecture
-from repro.isa.instructions import FuncUnit
-from repro.sim.memory import MemoryStats, MemorySubsystem
+from repro.sim.flat import run_flat
+from repro.sim.memory import MemoryStats
 from repro.sim.trace import MemoryTraits, WarpTrace
-
-_INFINITY = float("inf")
 
 
 @dataclass
@@ -44,24 +41,6 @@ class SMResult:
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
-
-
-@dataclass
-class _Warp:
-    trace: WarpTrace
-    block: int
-    #: identity index in the resident-warp list (heap key; two warps
-    #: with equal traces must still schedule independently, so pushes
-    #: use this rather than a value-equality list search)
-    index: int = 0
-    pc: int = 0
-    ready: float = 0.0
-    at_barrier: bool = False
-    barrier_arrival: float = 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.trace.events)
 
 
 class SMSimulator:
@@ -94,127 +73,4 @@ class SMSimulator:
     def run(self, traces: list[WarpTrace], warps_per_block: int) -> SMResult:
         if not traces:
             return SMResult(0, 0, MemoryStats(), 0, 0)
-        np = accel.numpy_or_none()
-        if np is not None:
-            from repro.sim.flat import run_flat
-
-            accel.count_selected("simulator", "flat")
-            return SMResult(*run_flat(self, traces, warps_per_block, np))
-        accel.count_selected("simulator", "pure")
-        return self._run_pure(traces, warps_per_block)
-
-    def _run_pure(self, traces: list[WarpTrace], warps_per_block: int) -> SMResult:
-        """The reference event loop (``ORION_ACCEL=off`` semantics)."""
-        arch = self.arch
-        memory = MemorySubsystem(arch, self.cache_config)
-        warps = [
-            _Warp(trace=t, block=i // max(1, warps_per_block), index=i)
-            for i, t in enumerate(traces)
-        ]
-        blocks: dict[int, list[_Warp]] = {}
-        for warp in warps:
-            blocks.setdefault(warp.block, []).append(warp)
-
-        issue_interval = 1.0 / arch.issue_width
-        alu_latency = max(1.0, arch.alu_latency / self.ilp)
-        sfu_latency = max(1.0, arch.sfu_latency / self.ilp)
-        divergence = self.traits.divergence
-        swap_interval = self.swap_interval
-        swap_latency = self.swap_latency
-
-        issue_clock = 0.0
-        instructions = 0
-        issue_stalls = 0.0
-        barriers = 0
-        finish = 0.0
-
-        # Min-heap of (ready, index) for runnable warps.
-        heap: list[tuple[float, int]] = [(0.0, i) for i in range(len(warps))]
-        heapq.heapify(heap)
-
-        while heap:
-            ready, index = heapq.heappop(heap)
-            warp = warps[index]
-            if warp.done or warp.at_barrier or warp.ready != ready:
-                continue  # stale heap entry
-            event = warp.trace.events[warp.pc]
-
-            start = max(issue_clock, ready)
-            if start > issue_clock:
-                issue_stalls += start - issue_clock
-
-            if event.barrier:
-                barriers += 1
-                warp.pc += 1
-                warp.at_barrier = True
-                warp.barrier_arrival = start
-                issue_clock = start + issue_interval
-                instructions += 1
-                group = blocks[warp.block]
-                if all(w.at_barrier or w.done for w in group):
-                    release = max(
-                        w.barrier_arrival for w in group if w.at_barrier
-                    )
-                    for w in group:
-                        if w.at_barrier:
-                            w.at_barrier = False
-                            w.ready = release + 1
-                            if not w.done:
-                                heapq.heappush(heap, (w.ready, w.index))
-                            else:
-                                finish = max(finish, w.ready)
-                continue
-
-            unit = event.unit
-            if unit is FuncUnit.MEM:
-                cost = issue_interval * max(1, len(event.lines))
-                completion = start
-                for line in event.lines:
-                    done = memory.request(line, event.space, int(start))
-                    completion = max(completion, float(done))
-                warp.ready = completion
-            elif unit is FuncUnit.SMEM:
-                warp.ready = start + arch.shared_latency
-                cost = issue_interval
-            elif unit is FuncUnit.SFU:
-                warp.ready = start + sfu_latency
-                cost = issue_interval * 4
-            elif unit is FuncUnit.CTRL:
-                warp.ready = start + 1
-                cost = issue_interval
-            else:  # ALU and everything else
-                warp.ready = start + alu_latency
-                cost = issue_interval * divergence
-
-            # Oversubscription swap cost (soft-limit strategies): a
-            # deterministic per-warp surcharge on every interval-th
-            # instruction, modelling a register group swapped back in.
-            if swap_interval and (warp.pc + 1) % swap_interval == 0:
-                warp.ready += swap_latency
-
-            issue_clock = start + cost
-            instructions += 1
-            warp.pc += 1
-            if warp.done:
-                finish = max(finish, warp.ready)
-                # A warp finishing (e.g. a truncated trace) may be the
-                # last thing its block's barrier was waiting on.
-                group = blocks[warp.block]
-                waiting = [w for w in group if w.at_barrier]
-                if waiting and all(w.at_barrier or w.done for w in group):
-                    release = max(w.barrier_arrival for w in waiting)
-                    for w in waiting:
-                        w.at_barrier = False
-                        w.ready = max(release, warp.ready) + 1
-                        heapq.heappush(heap, (w.ready, w.index))
-            else:
-                heapq.heappush(heap, (warp.ready, index))
-
-        cycles = int(max(finish, issue_clock)) + 1
-        return SMResult(
-            cycles=cycles,
-            instructions=instructions,
-            memory=memory.stats,
-            issue_stall_cycles=int(issue_stalls),
-            barrier_count=barriers,
-        )
+        return SMResult(*run_flat(self, traces, warps_per_block))

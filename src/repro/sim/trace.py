@@ -64,10 +64,25 @@ class TraceEvent:
 
 @dataclass
 class WarpTrace:
+    """One warp's instruction stream, in one of two forms.
+
+    ``events`` is the readable form :func:`generate_warp_traces`
+    records.  ``flat`` is the form the SM loop reads: four parallel
+    lists (unit codes, line counts and space codes per instruction,
+    then every touched line in order).  The simulator's trace cache
+    records only ``flat``; :mod:`repro.sim.flat` derives it from
+    ``events`` for any other trace.
+    """
+
     events: list[TraceEvent] = field(default_factory=list)
     truncated: bool = False
+    flat: tuple[list[int], list[int], list[int], list[int]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
+        if self.flat is not None:
+            return len(self.flat[0])
         return len(self.events)
 
 
@@ -75,18 +90,14 @@ class _TraceLimit(Exception):
     pass
 
 
-#: Singleton events for instruction kinds whose TraceEvent is fully
-#: determined by the opcode (everything except non-shared memory ops).
-#: TraceEvent is frozen and compared by value, so sharing instances is
-#: invisible to callers and skips a dataclass construction per event.
-_EVENT_BY_OPCODE: dict[Opcode, TraceEvent] = {}
+#: Every shared-memory access has this event; TraceEvent is frozen and
+#: compared by value, so sharing the instance is invisible to callers.
 _SMEM_EVENT = TraceEvent(unit=FuncUnit.SMEM, space=MemSpace.SHARED)
 
 # Flat-encoding codes shared with :mod:`repro.sim.flat` (defined here
-# so the import direction stays trace -> flat acyclic).  The accelerated
-# tracing path emits these arrays alongside the event stream, saving the
-# flattening re-walk; ``repro.sim.flat._flatten_trace`` remains the
-# reference encoder for traces built any other way.
+# so the import direction stays trace -> flat acyclic).  The cached
+# tracing path emits these arrays instead of the event stream;
+# ``repro.sim.flat._flatten_trace`` encodes an event stream the same way.
 FLAT_ALU, FLAT_MEM, FLAT_SMEM, FLAT_SFU, FLAT_CTRL, FLAT_BARRIER = range(6)
 FLAT_SP_GLOBAL, FLAT_SP_LOCAL, FLAT_SP_OTHER, FLAT_SP_SHARED = range(4)
 
@@ -95,18 +106,6 @@ _UNIT_CODE = {
     FuncUnit.SFU: FLAT_SFU,
     FuncUnit.CTRL: FLAT_CTRL,
 }
-
-
-def _opcode_event(inst: Instruction) -> TraceEvent:
-    op = inst.opcode
-    event = _EVENT_BY_OPCODE.get(op)
-    if event is None:
-        if op is Opcode.BAR:
-            event = TraceEvent(unit=FuncUnit.SYNC, barrier=True)
-        else:
-            event = TraceEvent(unit=inst.func_unit)
-        _EVENT_BY_OPCODE[op] = event
-    return event
 
 
 def warp_lines(
@@ -193,7 +192,13 @@ def _trace_warp(
     collect_flat: bool = False,
 ) -> WarpTrace:
     """Trace one warp; warp *w*'s trace is independent of how many other
-    warps are resident, which is what makes per-warp caching sound."""
+    warps are resident, which is what makes per-warp caching sound.
+
+    ``collect_flat`` records only :attr:`WarpTrace.flat`, the arrays
+    the SM loop reads (the simulator's trace cache); otherwise the
+    trace holds the readable event stream.  ``interp`` is driven for
+    the whole warp, so one interpreter must not trace two warps at once.
+    """
     block_index = w // warps_per_block
     tid = (w % warps_per_block) * 32
     if block_index >= launch.grid_blocks:
@@ -211,94 +216,21 @@ def _trace_warp(
             active_lanes=traits.active_lanes,
         )
     trace = WarpTrace()
-    events = trace.events
-
+    # Local memory is interleaved per thread by the hardware: one warp's
+    # access to slot ``s`` is one (warp-private) cache line at
+    # slot-major, warp-minor layout, ``(s // 4) * 8192 + local_base``.
     local_base = w * line_bytes
-
-    # When collecting for the accelerated simulator, the flat arrays
-    # (see ``repro.sim.flat._flatten_trace``) are emitted here alongside
-    # the event stream, so the simulator never re-walks the events.
     if collect_flat:
-        f_codes: list[int] | None = []
-        f_counts: list[int] = []
-        f_spaces: list[int] = []
-        f_lines: list[int] = []
+        trace.flat = ([], [], [], [])
+        observe = _flat_observer(
+            trace.flat, warp_traits, local_base, line_bytes,
+            max_events_per_warp,
+        )
     else:
-        f_codes = f_counts = f_spaces = f_lines = None
-
-    def observe(
-        inst: Instruction,
-        state: _ThreadState,
-        address: int | None,
-        _traits: MemoryTraits = warp_traits,
-        _events: list[TraceEvent] = events,
-        _codes: list[int] | None = f_codes,
-        _counts: list[int] | None = f_counts,
-        _spaces: list[int] | None = f_spaces,
-        _lines: list[int] | None = f_lines,
-    ) -> None:
-        # Inlined _event_for: ``address is None`` exactly when the
-        # instruction is not a memory op (the interpreter only computes
-        # addresses for memory ops), so non-memory events come from the
-        # per-opcode singleton table without touching func_unit.
-        if len(_events) >= max_events_per_warp:
-            raise _TraceLimit()
-        if address is None:
-            # Cached on the instruction (opcode-determined, so it never
-            # goes stale): skips the per-step dict probe and enum hash.
-            plan = inst._trace_event
-            if plan is None:
-                event = _opcode_event(inst)
-                code = (
-                    FLAT_BARRIER
-                    if event.barrier
-                    else _UNIT_CODE.get(event.unit, FLAT_ALU)
-                )
-                plan = inst._trace_event = (event, code)
-            _events.append(plan[0])
-            if _codes is not None:
-                _codes.append(plan[1])
-                _counts.append(0)
-                _spaces.append(FLAT_SP_OTHER)
-            return
-        space = inst.space
-        assert space is not None
-        if space is MemSpace.SHARED:
-            _events.append(_SMEM_EVENT)
-            if _codes is not None:
-                # SMEM-unit events flatten as non-memory occurrences.
-                _codes.append(FLAT_SMEM)
-                _counts.append(0)
-                _spaces.append(FLAT_SP_OTHER)
-        elif space is MemSpace.LOCAL:
-            # Hardware interleaves local memory per thread: one warp's
-            # access to slot ``s`` is one (warp-private) cache line at
-            # slot-major, warp-minor layout.
-            line = (address // 4) * 8192 + local_base
-            _events.append(
-                TraceEvent(unit=FuncUnit.MEM, space=space, lines=(line,))
-            )
-            if _codes is not None:
-                _codes.append(FLAT_MEM)
-                _counts.append(1)
-                _spaces.append(FLAT_SP_LOCAL)
-                _lines.append(line)
-        else:
-            lines = warp_lines(
-                address, space, _traits, line_bytes=line_bytes
-            )
-            _events.append(
-                TraceEvent(unit=FuncUnit.MEM, space=space, lines=lines)
-            )
-            if _codes is not None:
-                _codes.append(FLAT_MEM)
-                _counts.append(len(lines))
-                _spaces.append(
-                    FLAT_SP_GLOBAL
-                    if space in (MemSpace.GLOBAL, MemSpace.PARAM)
-                    else FLAT_SP_OTHER
-                )
-                _lines.extend(lines)
+        observe = _event_observer(
+            trace.events, warp_traits, local_base, line_bytes,
+            max_events_per_warp,
+        )
 
     interp.observer = observe
     state = _ThreadState(tid, block_index)
@@ -312,40 +244,100 @@ def _trace_warp(
         trace.truncated = True
     finally:
         interp.observer = None
-    if collect_flat:
-        trace._flat = (f_codes, f_counts, f_spaces, f_lines)
     return trace
 
 
-def _event_for(
-    inst: Instruction,
-    address: int | None,
-    traits: MemoryTraits,
-    line_bytes: int,
-    warp_index: int,
-) -> TraceEvent:
-    op = inst.opcode
-    if op is Opcode.BAR:
-        return TraceEvent(unit=FuncUnit.SYNC, barrier=True)
-    if inst.is_memory:
-        assert address is not None and inst.space is not None
-        if inst.space is MemSpace.SHARED:
-            return TraceEvent(unit=FuncUnit.SMEM, space=inst.space)
-        if inst.space is MemSpace.LOCAL:
-            # Hardware interleaves local memory per thread: one warp's
-            # access to slot ``s`` is one (warp-private) cache line at
-            # slot-major, warp-minor layout.
-            line = (address // 4) * 8192 + warp_index * line_bytes
-            return TraceEvent(
-                unit=FuncUnit.MEM, space=inst.space, lines=(line,)
+def _plan(inst: Instruction) -> tuple[TraceEvent, int]:
+    """(event, flat code) of a non-memory instruction, then cached on
+    it as ``_trace_event`` (opcode-determined, so it never goes stale)."""
+    if inst.opcode is Opcode.BAR:
+        plan = (TraceEvent(unit=FuncUnit.SYNC, barrier=True), FLAT_BARRIER)
+    else:
+        unit = inst.func_unit
+        plan = (TraceEvent(unit=unit), _UNIT_CODE.get(unit, FLAT_ALU))
+    inst._trace_event = plan
+    return plan
+
+
+def _event_observer(events, traits, local_base, line_bytes, limit):
+    """Interpreter observer appending one :class:`TraceEvent` per
+    executed instruction to ``events``."""
+
+    def observe(
+        inst: Instruction, state: _ThreadState, address: int | None
+    ) -> None:
+        # ``address is None`` exactly when the instruction is not a
+        # memory op (the interpreter computes addresses only for those).
+        if len(events) >= limit:
+            raise _TraceLimit()
+        if address is None:
+            events.append((inst._trace_event or _plan(inst))[0])
+            return
+        space = inst.space
+        if space is MemSpace.SHARED:
+            events.append(_SMEM_EVENT)
+        elif space is MemSpace.LOCAL:
+            line = (address // 4) * 8192 + local_base
+            events.append(
+                TraceEvent(unit=FuncUnit.MEM, space=space, lines=(line,))
             )
-        lines = warp_lines(address, inst.space, traits, line_bytes=line_bytes)
-        return TraceEvent(unit=FuncUnit.MEM, space=inst.space, lines=lines)
-    return TraceEvent(unit=inst.func_unit)
+        else:
+            lines = warp_lines(address, space, traits, line_bytes=line_bytes)
+            events.append(
+                TraceEvent(unit=FuncUnit.MEM, space=space, lines=lines)
+            )
+
+    return observe
+
+
+def _flat_observer(flat, traits, local_base, line_bytes, limit):
+    """Interpreter observer appending each executed instruction to the
+    four ``flat`` lists, encoded as ``repro.sim.flat._flatten_trace``
+    encodes its event."""
+    codes, counts, spaces, lines = flat
+
+    def observe(
+        inst: Instruction,
+        state: _ThreadState,
+        address: int | None,
+        _code=codes.append,
+        _count=counts.append,
+        _space=spaces.append,
+    ) -> None:
+        if len(codes) >= limit:
+            raise _TraceLimit()
+        if address is None:
+            _code((inst._trace_event or _plan(inst))[1])
+            _count(0)
+            _space(FLAT_SP_OTHER)
+            return
+        space = inst.space
+        if space is MemSpace.SHARED:
+            # SMEM-unit events flatten as non-memory occurrences.
+            _code(FLAT_SMEM)
+            _count(0)
+            _space(FLAT_SP_OTHER)
+        elif space is MemSpace.LOCAL:
+            _code(FLAT_MEM)
+            _count(1)
+            _space(FLAT_SP_LOCAL)
+            lines.append((address // 4) * 8192 + local_base)
+        else:
+            touched = warp_lines(address, space, traits, line_bytes=line_bytes)
+            _code(FLAT_MEM)
+            _count(len(touched))
+            _space(
+                FLAT_SP_GLOBAL
+                if space is MemSpace.GLOBAL or space is MemSpace.PARAM
+                else FLAT_SP_OTHER
+            )
+            lines.extend(touched)
+
+    return observe
 
 
 def trace_summary(traces: list[WarpTrace]) -> dict[str, int]:
-    """Instruction-mix counters (useful in tests and reports)."""
+    """Instruction-mix counters of event traces (tests and reports)."""
     counts = {unit.value: 0 for unit in FuncUnit}
     transactions = 0
     for trace in traces:

@@ -9,6 +9,7 @@ account for; each version decodes its ORAS module on the first read of
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,12 @@ from repro.harness.experiments import compiled
 from repro.isa.encoding import CodecError, encode_module
 from repro.perf.cache import CompileCache
 from repro.service.fingerprint import kernel_fingerprint
-from tests.helpers import corrupt_version, count_decodes, straight_line_kernel
+from tests.helpers import (
+    corrupt_version,
+    count_decodes,
+    payloads,
+    straight_line_kernel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +61,7 @@ class TestDecodeOnFirstRead:
         binary = MultiVersionBinary.from_bytes(data)
         binary.decode_modules()
         binary.decode_modules()
-        assert len(decodes) == binary.version_count()
+        assert len(decodes) == len(payloads(binary))
 
     def test_verify_gate_reads_undecoded_versions(self, data):
         verify_binary(MultiVersionBinary.from_bytes(data))
@@ -92,7 +98,7 @@ class TestDecodeOnFirstRead:
         assert all(modules is not None for modules in seen)
         for index, version in enumerate(versions):
             assert all(modules[index] is version.module for modules in seen)
-        assert len(decodes) == len(versions)
+        assert len(decodes) == len(payloads(binary))
 
 
 class TestStrictFraming:
@@ -151,3 +157,61 @@ class TestCompileCacheHits:
         again = compile_binary(data, "k", options, cache=CompileCache(tmp_path))
         assert again.to_bytes() == good.to_bytes()
         assert all(v.outcome.module is not None for v in _versions(again))
+
+
+class TestSharedModules:
+    """Versions with equal bytes and resource fields share one module."""
+
+    def test_equal_payloads_share_one_module(self, data):
+        binary = MultiVersionBinary.from_bytes(data)
+        binary.decode_modules()
+        versions = _versions(binary)
+        assert len({id(v.module) for v in versions}) == len(payloads(binary)) == 4
+        for a in versions:
+            for b in versions:
+                assert (a.module is b.module) == (a.binary == b.binary)
+                assert (a.outcome is b.outcome) == (a.binary == b.binary)
+
+    def test_equal_bytes_with_other_resources_do_not_share(self, data):
+        binary = MultiVersionBinary.from_bytes(data)
+        first, second = _twins(binary)
+        second.outcome = replace(
+            second.outcome, stack_moves=second.outcome.stack_moves + 1
+        )
+        again = MultiVersionBinary.from_bytes(binary.to_bytes())
+        first, second = [_labelled(again, v.label) for v in (first, second)]
+        assert first.binary == second.binary
+        assert first.module is not second.module
+        assert second.outcome.stack_moves == first.outcome.stack_moves + 1
+
+    def test_corrupt_shared_payload_fails_every_sharer(self, data):
+        first, second = _twins(MultiVersionBinary.from_bytes(data))
+        raw = corrupt_version(corrupt_version(data, first.label), second.label)
+        broken = MultiVersionBinary.from_bytes(raw)
+        sharers = [_labelled(broken, v.label) for v in (first, second)]
+        assert sharers[0].outcome is sharers[1].outcome
+        for version in (*sharers, *sharers):  # a failed decode is not kept
+            with pytest.raises(CodecError, match="magic"):
+                version.module
+            assert version.outcome.module is None
+        intact = [
+            v for v in _versions(broken)
+            if v.label not in (first.label, second.label)
+        ]
+        assert intact and all(v.module is not None for v in intact)
+
+
+def _twins(binary):
+    """The first two versions with equal bytes."""
+    versions = _versions(binary)
+    return next(
+        (a, b)
+        for i, a in enumerate(versions)
+        for b in versions[i + 1:]
+        if a.binary == b.binary
+    )
+
+
+def _labelled(binary, label):
+    [version] = [v for v in _versions(binary) if v.label == label]
+    return version

@@ -219,6 +219,15 @@ def count_decodes(monkeypatch) -> list:
     return calls
 
 
+def payloads(binary) -> set[bytes]:
+    """The distinct version payloads of a fat binary.
+
+    A parsed binary decodes each once: versions with equal bytes (and,
+    in every benchmark binary, equal resource fields) share a module.
+    """
+    return {v.binary for v in (*binary.versions, *binary.failsafe)}
+
+
 def corrupt_version(data: bytes, label: str) -> bytes:
     """The fat binary ``data`` with version ``label``'s ORAS magic broken.
 

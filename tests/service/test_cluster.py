@@ -35,7 +35,7 @@ from repro.service.daemon import DaemonConfig
 from repro.service.fingerprint import kernel_fingerprint
 from repro.service.store import TuningStore
 from repro.sim import LaunchConfig
-from tests.helpers import count_decodes
+from tests.helpers import count_decodes, payloads
 from tests.runtime.test_launcher import pressure_module
 from tests.service.test_daemon import DaemonHarness
 
@@ -283,7 +283,7 @@ class TestClusterIntegration:
         response = cluster.client(entry, timeout=60.0).tune(binary, workload)
         assert response["source"] == "tuned"
         assert response["node"] == owner
-        assert len(decodes) == binary.version_count()
+        assert len(decodes) == len(payloads(binary))
         assert cluster.harnesses[owner]._thread in {t for t, _ in decodes}
         assert cluster.harnesses[entry]._thread not in {t for t, _ in decodes}
         cluster.wait_replicated(response["key"], cluster.ring)

@@ -31,7 +31,7 @@ from repro.service.daemon import DaemonConfig, TuningDaemon
 from repro.service.store import TuningStore
 from repro.sim import LaunchConfig
 from repro.sim.backend import get_backend
-from tests.helpers import corrupt_version, count_decodes
+from tests.helpers import corrupt_version, count_decodes, payloads
 from tests.runtime.test_launcher import pressure_module
 
 
@@ -193,7 +193,7 @@ class TestDecodeOnDemand:
             decodes = count_decodes(monkeypatch)
             assert harness.client().tune(binary, workload)["source"] == "tuned"
             assert sorted(payload for _, payload in decodes) == sorted(
-                v.binary for v in (*binary.versions, *binary.failsafe)
+                payloads(binary)
             )
             decodes.clear()
             assert harness.client().tune(binary, workload)["source"] == "store"

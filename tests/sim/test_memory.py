@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import GTX680, TESLA_C2075, CacheConfig
 from repro.isa.instructions import MemSpace
-from repro.sim.memory import MemorySubsystem, SetAssociativeCache
+from repro.sim.memory import SetAssociativeCache
+from tests.sim.reference_sm import MemorySubsystem
 
 
 class TestCacheBasics:

@@ -4,9 +4,9 @@ The oversubscribed (``soft-limit``) strategy admits more resident
 warps than the register file physically backs; the simulator charges a
 deterministic per-interval latency for the implied register swapping.
 These tests pin the contract: the reference strategies never pay the
-surcharge, the soft strategy pays it exactly when registers overflow,
-and the charge is identical between the pure-Python and vectorized
-simulator loops (the accelerator-identity invariant).
+surcharge and the soft strategy pays it exactly when registers
+overflow.  ``tests/sim/test_reference_sm.py`` checks that the SM loop
+charges it exactly as the reference event loop does.
 """
 
 import pytest

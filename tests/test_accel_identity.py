@@ -1,12 +1,13 @@
 """Full-suite accelerator identity: ``ORION_ACCEL=off`` vs ``numpy``.
 
-The acceptance bar for the accelerated fast paths (vectorized
-simulator kernel, LAPJV matcher, pooled measurement dispatch) is not
-"close enough" — it is *byte identity*.  This module drives the entire
-benchmark suite end-to-end (fresh compile cache per mode, so the
-matcher seam inside register allocation is exercised too) under both
-modes and asserts that every ``MeasurementResult`` payload and every
-bench-report kernel row serializes to exactly the same JSON bytes.
+``ORION_ACCEL`` selects only the matcher (LAPJV or the pure
+Kuhn–Munkres solver); the timing simulator has one path under every
+mode.  The acceptance bar is not "close enough" — it is *byte
+identity*.  This module drives the entire benchmark suite end-to-end
+(fresh compile cache per mode, so the matcher seam inside register
+allocation is exercised) under both modes and asserts that every
+``MeasurementResult`` payload and every bench-report kernel row
+serializes to exactly the same JSON bytes.
 """
 
 from __future__ import annotations
