@@ -10,13 +10,14 @@ import random
 
 import pytest
 
-from repro import accel
 from repro.arch import GTX680
 from repro.bench.kernels import BENCHMARKS
+from repro.compiler.pipeline import CompileOptions, compile_binary
 from repro.ir.cfg import CFG
 from repro.ir.interference import InterferenceGraph, build_interference
 from repro.ir.liveness import analyze_liveness
 from repro.ir.ssa import construct_ssa, destruct_ssa
+from repro.regalloc import matching
 from repro.regalloc.chaitin import color_graph
 from repro.regalloc.matching import min_cost_assignment
 from repro.sim.gpu import _cached_traces
@@ -135,15 +136,32 @@ def test_bench_sm_wave_flat_traces(benchmark):
     assert sim.run(events, warps_per_block=8) == result
 
 
-def test_bench_matcher_solve_lapjv_40x40(benchmark, monkeypatch):
-    """Matcher solve through the LAPJV fast path."""
-    if accel.scipy_optimize_or_none() is None:
-        pytest.skip("scipy not installed")
-    monkeypatch.setenv("ORION_ACCEL", "numpy")
-    rng = random.Random(7)
-    cost = [[float(rng.randint(0, 1000)) for _ in range(40)] for _ in range(40)]
+def test_bench_matcher_solve_cfd_largest(benchmark, monkeypatch):
+    """The largest matrix of a cfd/GTX680 compile: the zero-cost search."""
+    seen = []
+
+    def spy(cost):
+        seen.append([list(row) for row in cost])
+        return min_cost_assignment(cost)
+
+    monkeypatch.setattr(matching, "min_cost_assignment", spy)
+    spec = BENCHMARKS["cfd"]
+    module = spec.build()
+    compile_binary(
+        module,
+        module.kernel().name,
+        CompileOptions(
+            arch=GTX680,
+            block_size=spec.workload.block_size,
+            can_tune=spec.workload.can_tune,
+        ),
+        jobs=1,
+        use_cache=False,
+    )
+    cost = max(seen, key=lambda c: len(c) * len(c[0]))
+    assert matching._zero_cost_search(cost) is not None
     assign = benchmark(min_cost_assignment, cost)
-    assert len(set(assign)) == 40
+    assert assign == matching._kuhn_munkres(cost)
 
 
 def test_bench_engine_batch_dispatch(benchmark):

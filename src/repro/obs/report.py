@@ -83,7 +83,6 @@ def build_bench_report(
         from repro.obs.metrics import get_registry
 
         metrics_snapshot = get_registry().snapshot()
-    from repro import accel
     from repro.perf.timers import TIMERS
 
     timings = {
@@ -118,9 +117,6 @@ def build_bench_report(
         "kernels": kernels,
         "cache": {"measurement": _cache_payload(measurement_stats)},
         "metrics": metrics_snapshot,
-        # Which accelerators were live and where the wall-clock went —
-        # the two facts a perf-trajectory comparison needs.
-        "accel": accel.accel_info(),
         "timings": timings,
     }
     if compile_stats is not None:

@@ -7,20 +7,17 @@ O(M³) time complexity".  This is that solver, implemented from scratch
 (the shortest-augmenting-path / potentials formulation, which is the
 standard O(n³) Hungarian variant).
 
-When the ``ORION_ACCEL`` fast path is on and scipy imports,
-:func:`min_cost_assignment` dispatches to
-``scipy.optimize.linear_sum_assignment`` (the LAPJV family: a C
-shortest-augmenting-path solver) and keeps the pure solver as the
-reference and fallback.  Both implementations are deterministic for a
-given matrix; the infeasible-assignment guard from the pure solver is
-preserved — a scipy infeasibility (or any scipy rejection of the
-matrix) re-runs the pure solver so error behaviour, down to the
-exception message, is identical.
+The allocator's matrices are movement counts: never negative, and
+mostly zero.  On such a matrix the solver's potentials stay zero for as
+long as every row finds an augmenting path over zero-cost edges, and
+each step only visits the lowest-index zero-cost column it can reach.
+:func:`min_cost_assignment` first runs exactly that search on column
+bitmasks (:func:`_zero_cost_search`) and hands the matrix to the
+general solver at the first row the search cannot place, so its result,
+tie-breaks included, is always the general solver's.
 """
 
 from __future__ import annotations
-
-from repro import accel
 
 INFINITY = float("inf")
 
@@ -29,8 +26,7 @@ def min_cost_assignment(cost: list[list[float]]) -> list[int]:
     """Assign each row to a distinct column minimising total cost.
 
     ``cost`` must be an n×m matrix with n <= m.  Returns ``assign`` with
-    ``assign[i]`` = column matched to row ``i``.  O(n²·m) pure, LAPJV
-    via scipy on the accelerated path.
+    ``assign[i]`` = column matched to row ``i``.  O(n²·m).
     """
     n = len(cost)
     if n == 0:
@@ -40,24 +36,67 @@ def min_cost_assignment(cost: list[list[float]]) -> list[int]:
         raise ValueError("cost matrix rows have unequal lengths")
     if n > m:
         raise ValueError("need at least as many columns as rows")
-    optimize = accel.scipy_optimize_or_none()
-    if optimize is not None:
-        accel.count_selected("matcher", "lapjv")
-        try:
-            _, cols = optimize.linear_sum_assignment(cost)
-        except ValueError:
-            # scipy rejected the matrix (infeasible, or entries it will
-            # not take).  The pure solver defines the error contract:
-            # re-run it so callers see exactly the reference behaviour —
-            # the PR 3 infeasible-assignment ValueError, or a result.
-            return _min_cost_assignment_pure(cost)
-        return [int(j) for j in cols]
-    accel.count_selected("matcher", "pure")
-    return _min_cost_assignment_pure(cost)
+    assign = _zero_cost_search(cost)
+    if assign is None:
+        assign = _kuhn_munkres(cost)
+    return assign
 
 
-def _min_cost_assignment_pure(cost: list[list[float]]) -> list[int]:
-    """The reference O(n²·m) Hungarian solver (potentials formulation)."""
+def _zero_cost_search(cost: list[list[float]]) -> list[int] | None:
+    """:func:`_kuhn_munkres`'s result while its potentials stay zero.
+
+    With every cost non-negative and zero potentials, each step of the
+    general solver visits the lowest-index unvisited column that a
+    visited row reaches at zero cost, and that column's predecessor on
+    the augmenting path is the first visited column (or the new row)
+    whose row reached it.  Returns None for a negative or NaN entry, or
+    at the first row with no zero-cost augmenting path: the general
+    solver's potentials would move there.
+    """
+    full = (1 << len(cost[0])) - 1
+    zeros = []  # per row: bitmask of its zero-cost columns
+    for row in cost:
+        nonzero = 0
+        for j, c in enumerate(row):
+            if c:
+                if not c > 0:  # negative or NaN
+                    return None
+                nonzero |= 1 << j
+        zeros.append(full & ~nonzero)
+
+    owner = [-1] * len(cost[0])  # column -> row
+    for i, reach in enumerate(zeros):
+        visited = 0
+        order = []  # visited taken columns, in visiting order
+        while True:
+            frontier = reach & ~visited
+            if not frontier:
+                return None
+            low = frontier & -frontier
+            visited |= low
+            j = low.bit_length() - 1
+            r = owner[j]
+            if r < 0:
+                break
+            order.append(j)
+            reach |= zeros[r]
+        # Augment back along the path.  The owners rewritten so far are
+        # of columns visited after the predecessor being sought.
+        while not zeros[i] >> j & 1:
+            p = next(p for p in order if zeros[owner[p]] >> j & 1)
+            owner[j] = owner[p]
+            j = p
+        owner[j] = i
+
+    assign = [-1] * len(cost)
+    for j, i in enumerate(owner):
+        if i >= 0:
+            assign[i] = j
+    return assign
+
+
+def _kuhn_munkres(cost: list[list[float]]) -> list[int]:
+    """The general O(n²·m) Hungarian solver (potentials formulation)."""
     n = len(cost)
     m = len(cost[0])
 

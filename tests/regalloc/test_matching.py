@@ -1,20 +1,31 @@
-"""Kuhn–Munkres tests, cross-checked against scipy and brute force."""
+"""Kuhn–Munkres tests, cross-checked against scipy and brute force.
+
+The zero-cost search must return the general solver's exact list, not
+just an assignment of the same cost: the allocator's slot layout, and
+so the binary, follows the list.
+"""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-# Only the scipy cross-check needs the scientific stack; the pure
-# Kuhn–Munkres tests must keep running in accelerator-free installs.
+# scipy is only a cost oracle here; the matcher never imports it.
 try:
     import numpy as np
     from scipy.optimize import linear_sum_assignment
-except ImportError:  # pragma: no cover - exercised by the pure CI job
+except ImportError:  # pragma: no cover - scipy is in the test extra
     np = None
     linear_sum_assignment = None
 
+from repro.arch import GTX680
+from repro.bench.kernels import BENCHMARKS
+from repro.compiler.pipeline import CompileOptions, compile_binary
+from repro.regalloc import matching
 from repro.regalloc.matching import (
+    INFINITY,
+    _kuhn_munkres,
+    _zero_cost_search,
     assignment_weight,
     max_weight_assignment,
     min_cost_assignment,
@@ -167,3 +178,94 @@ class TestForbiddenEdges:
         ninf = -float("inf")
         with pytest.raises(ValueError, match="infeasible"):
             max_weight_assignment([[ninf, ninf], [1.0, 2.0]])
+
+
+def _outcome(solve, cost):
+    """The assignment, or the ValueError's text."""
+    try:
+        return solve(cost)
+    except ValueError as exc:
+        return str(exc)
+
+
+_NAN = float("nan")
+# Movement counts (the allocator's regime) and matrices the search must
+# hand to the general solver: negative entries and NaN.
+_CELLS = (
+    (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, INFINITY),
+    (0.0, 0.0, 0.0, -0.0, 1.0, 2.0, INFINITY, -1.0, _NAN),
+)
+
+
+@st.composite
+def _mostly_zero_matrices(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n, n + 4))
+    cell = st.sampled_from(draw(st.sampled_from(_CELLS)))
+    return [[draw(cell) for _ in range(m)] for _ in range(n)]
+
+
+class TestZeroCostSearch:
+    """``min_cost_assignment`` against the general solver it stands in for."""
+
+    @given(_mostly_zero_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_same_list_or_error_as_the_general_solver(self, cost):
+        assert _outcome(min_cost_assignment, cost) == _outcome(
+            _kuhn_munkres, cost
+        )
+
+    @pytest.mark.parametrize(
+        "cost, expected",
+        [
+            # Row 1 takes column 0 from row 0, which moves on to column 1.
+            ([[0.0, 0.0, 5.0], [0.0, 5.0, 5.0]], [1, 0]),
+            ([[0.0] * 4 for _ in range(4)], [0, 1, 2, 3]),  # all tied
+        ],
+    )
+    def test_answers_in_the_zero_cost_regime(self, cost, expected):
+        assert _zero_cost_search(cost) == _kuhn_munkres(cost) == expected
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            [[1.0, 2.0]],  # no zero-cost column: the potentials move
+            [[0.0, 1.0], [0.0, 1.0]],  # row 1's only zero is taken
+            [[0.0, -1.0]],
+            [[0.0, _NAN]],
+            [[INFINITY, INFINITY]],
+        ],
+    )
+    def test_hands_over_where_the_potentials_would_move(self, cost):
+        assert _zero_cost_search(cost) is None
+        assert _outcome(min_cost_assignment, cost) == _outcome(
+            _kuhn_munkres, cost
+        )
+
+
+def test_benchmark_compiles_match_the_general_solver(monkeypatch):
+    """Every matcher call of the 14 GTX680 compiles, checked call by call."""
+    calls = []
+    solve = matching.min_cost_assignment
+
+    def checked(cost):
+        assign = solve(cost)
+        calls.append(_zero_cost_search(cost) is not None)
+        assert assign == _kuhn_munkres(cost)
+        return assign
+
+    monkeypatch.setattr(matching, "min_cost_assignment", checked)
+    for spec in BENCHMARKS.values():
+        module = spec.build()
+        compile_binary(
+            module,
+            module.kernel().name,
+            CompileOptions(
+                arch=GTX680,
+                block_size=spec.workload.block_size,
+                can_tune=spec.workload.can_tune,
+            ),
+            jobs=1,
+            use_cache=False,
+        )
+    assert calls and all(calls)  # the search answered every call

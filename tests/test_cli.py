@@ -1,5 +1,8 @@
 """CLI tests (python -m repro ...)."""
 
+import shutil
+import subprocess
+
 import pytest
 
 from repro.cli import main
@@ -322,7 +325,30 @@ class TestBenchReport:
         assert loaded["git_sha"] is None
         assert validate_bench_report(loaded) == []
 
-    def test_inside_a_git_checkout_does_not_warn(self, tmp_path, capsys):
+    def test_inside_a_git_checkout_does_not_warn(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A checkout of its own, so the test runs the same whether or
+        # not the source tree is one.
+        git = shutil.which("git")
+        if git is None:
+            pytest.skip("needs the git executable")
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        for args in (
+            ["init", "-q"],
+            ["-c", "user.name=orion", "-c", "user.email=orion@localhost",
+             "-c", "commit.gpgsign=false",
+             "commit", "-q", "--allow-empty", "-m", "empty"],
+        ):
+            subprocess.run(
+                [git, *args], cwd=checkout, check=True, capture_output=True
+            )
+        head = subprocess.run(
+            [git, "rev-parse", "HEAD"], cwd=checkout, check=True,
+            capture_output=True, text=True,
+        ).stdout.strip()
+        monkeypatch.chdir(checkout)
         report = tmp_path / "bench.json"
         code = main(
             ["bench", "--only", "gaussian", "--arch", "c2075",
@@ -333,7 +359,7 @@ class TestBenchReport:
         assert "not inside a git checkout" not in captured.err
         from repro.obs.report import load_report
 
-        assert load_report(report)["git_sha"]
+        assert load_report(report)["git_sha"] == head
 
 
 class TestTraceTools:
