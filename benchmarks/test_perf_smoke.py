@@ -11,6 +11,9 @@ Guards the fast-compilation layer three ways:
   binaries;
 * the parallel candidate-realisation path produces bytes identical to
   the sequential path.
+
+The measured timings are printed and written under the test's
+``tmp_path``; they describe one machine, so the tree keeps none.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _compile_suite(cache: CompileCache) -> dict[str, bytes]:
     return binaries
 
 
-def test_suite_cold_warm_and_parallel(save_artifact):
+def test_suite_cold_warm_and_parallel(tmp_path):
     cache = CompileCache()  # isolated: no disk tier, fresh counters
 
     start = time.perf_counter()
@@ -79,12 +82,12 @@ def test_suite_cold_warm_and_parallel(save_artifact):
     )
     assert parallel.to_bytes() == sequential.to_bytes()
 
-    save_artifact(
-        "perf_smoke",
-        (
-            f"cold pass: {cold_seconds:.2f}s for {len(BENCHMARKS)} benchmarks\n"
-            f"warm pass: {warm_seconds:.2f}s "
-            f"(cache hit rate {100 * cache.stats.hit_rate:.0f}%)\n"
-            f"parallel == sequential bytes: True"
-        ),
+    timings = (
+        f"cold pass: {cold_seconds:.2f}s for {len(BENCHMARKS)} benchmarks\n"
+        f"warm pass: {warm_seconds:.2f}s "
+        f"(cache hit rate {100 * cache.stats.hit_rate:.0f}%)\n"
+        f"parallel == sequential bytes: True"
     )
+    path = tmp_path / "perf_smoke.txt"
+    path.write_text(timings + "\n")
+    print(f"\n{timings}\n[saved to {path}]")

@@ -248,7 +248,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import run_fuzz
-    from repro.runtime.telemetry import JsonlSink, TelemetryHub
+    from repro.obs.telemetry import JsonlSink, TelemetryHub
 
     store = None
     if args.store:
@@ -728,8 +728,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         # the daemons' traces join up under `repro trace merge`.
         from contextlib import ExitStack
 
-        from repro.obs.spans import use_hub
-        from repro.runtime.telemetry import JsonlSink, TelemetryHub
+        from repro.obs.context import use_hub
+        from repro.obs.telemetry import JsonlSink, TelemetryHub
 
         hub = TelemetryHub(JsonlSink(args.trace))
         stack = ExitStack()

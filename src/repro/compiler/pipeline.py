@@ -15,7 +15,8 @@ returns the multi-version binary for the runtime.  The driver consults
 the content-addressed compile cache (:mod:`repro.perf.cache`) first —
 a hit deserializes the stored fat binary instead of re-running the
 middle end — and wraps every stage in a :func:`repro.obs.spans.span`,
-which charges :data:`repro.perf.TIMERS` and emits paired
+which charges the per-span call and seconds counters of the metrics
+registry (``repro compile --timings`` prints them) and emits paired
 ``span_start``/``span_end`` telemetry when a hub is ambient.
 
 :func:`nvcc_baseline` models the paper's comparison point: a quality

@@ -37,7 +37,9 @@ from repro.fuzz.generator import (
     generate_module,
 )
 from repro.ir.verify import verify_module
-from repro.obs.spans import span, use_hub
+from repro.obs.context import use_hub
+from repro.obs.spans import span
+from repro.obs.telemetry import EventKind
 from repro.perf.cache import CompileCache
 from repro.sim.interp import LaunchConfig, run_kernel
 
@@ -338,7 +340,7 @@ def run_fuzz(
 
     Case ``i`` uses seed ``seed + i``, so any failure reproduces in
     isolation with ``--seed <case-seed> --cases 1``.  ``hub`` (a
-    :class:`~repro.runtime.telemetry.TelemetryHub`) makes the run emit
+    :class:`~repro.obs.telemetry.TelemetryHub`) makes the run emit
     per-case spans; ``trace`` is the file that hub writes, threaded
     onto every failure's reproduction line.  ``store`` adds the
     persistence oracle (see :func:`check_case`), sharing one store
@@ -359,8 +361,6 @@ def run_fuzz(
             report.versions_checked += checked
             _count_fuzz_case(bool(failures))
             if hub is not None:
-                from repro.runtime.telemetry import EventKind
-
                 hub.emit(
                     EventKind.FUZZ_CASE,
                     seed=seed + i,

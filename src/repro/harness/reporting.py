@@ -49,33 +49,34 @@ def format_series(
 
 
 def format_phase_report(
-    timers=None,
+    snapshot: dict | None = None,
     cache_stats=None,
     title: str = "Compilation phases",
 ) -> str:
-    """Render the pipeline's phase timers plus compile-cache counters.
+    """Render per-span calls and seconds plus compile-cache counters.
 
-    ``timers`` defaults to the process-wide :data:`repro.perf.TIMERS`;
+    ``snapshot`` is a metrics-registry snapshot (default: the live
+    registry's), read through :func:`repro.obs.spans.span_timings`;
     ``cache_stats`` defaults to the default compile cache's counters.
     """
-    from repro.perf import TIMERS, default_cache
+    from repro.obs.spans import span_timings
+    from repro.perf import default_cache
 
-    timers = TIMERS if timers is None else timers
     cache_stats = default_cache().stats if cache_stats is None else cache_stats
-    snapshot = timers.snapshot()
-    total = sum(stats.seconds for stats in snapshot.values())
+    timings = span_timings(snapshot)
+    total = sum(stats["seconds"] for stats in timings.values())
     rows = [
         (
             name,
-            stats.calls,
-            stats.seconds,
-            (100.0 * stats.seconds / total) if total else 0.0,
+            stats["calls"],
+            stats["seconds"],
+            (100.0 * stats["seconds"] / total) if total else 0.0,
         )
         for name, stats in sorted(
-            snapshot.items(), key=lambda item: -item[1].seconds
+            timings.items(), key=lambda item: -item[1]["seconds"]
         )
     ]
-    rows.append(("total", sum(s.calls for s in snapshot.values()), total, 100.0 if total else 0.0))
+    rows.append(("total", sum(s["calls"] for s in timings.values()), total, 100.0 if total else 0.0))
     table = format_table(
         ["phase", "calls", "seconds", "%"],
         [(n, c, f"{s:.3f}", f"{p:.1f}") for n, c, s, p in rows],
@@ -113,7 +114,7 @@ def format_suite_report(
 
 
 def format_telemetry_summary(hub, cache_stats=None) -> str:
-    """Render a :class:`~repro.runtime.telemetry.TelemetryHub`'s event
+    """Render a :class:`~repro.obs.telemetry.TelemetryHub`'s event
     counts plus the measurement-cache counters — the engine-side twin
     of :func:`format_phase_report`."""
     rows = [

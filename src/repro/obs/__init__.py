@@ -7,15 +7,19 @@ harness:
   and histograms charged at the hot seams (caches, realizations,
   allocator, verifier, backends, tuner), rendered as a Prometheus-style
   text exposition;
+* :mod:`repro.obs.context` — the one ambient context: the installed
+  telemetry hub, the chain of open spans and the distributed trace ids
+  (``trace_id`` / ``parent_span_id``, which ride protocol-v2 requests
+  across daemon hops), held in one context variable so every asyncio
+  task and thread sees only what it installed;
+* :mod:`repro.obs.telemetry` — typed telemetry events, the hub that
+  numbers them and the in-memory and JSONL sinks;
 * :mod:`repro.obs.spans` — hierarchical ``with span(...)`` timing that
   emits paired ``SPAN_START``/``SPAN_END`` telemetry events and charges
-  the phase timers exactly once per outermost occurrence;
+  the span metrics exactly once per outermost occurrence;
 * :mod:`repro.obs.tracefile` — JSONL trace tooling (summary, filter,
   diff, Chrome/Perfetto export, cross-node merge and slow-request
   ranking) behind ``repro trace``;
-* :mod:`repro.obs.tracectx` — the ambient distributed trace context
-  (``trace_id`` / ``parent_span_id``) that rides protocol-v2 requests
-  across daemon hops;
 * :mod:`repro.obs.log` — leveled structured JSONL logging with
   deterministic field ordering and automatic trace attachment;
 * :mod:`repro.obs.flight` — the per-daemon flight recorder (a bounded
@@ -44,14 +48,24 @@ from repro.obs.report import (
     validate_bench_report,
     write_report,
 )
-from repro.obs.flight import FlightRecorder
-from repro.obs.log import StructuredLogger, get_logger
-from repro.obs.spans import current_hub, current_span, span, use_hub
-from repro.obs.tracectx import (
+from repro.obs.context import (
     TraceContext,
+    current_hub,
+    current_span,
     current_trace,
     new_trace_id,
+    use_hub,
     use_trace,
+)
+from repro.obs.flight import FlightRecorder
+from repro.obs.log import StructuredLogger, get_logger
+from repro.obs.spans import span
+from repro.obs.telemetry import (
+    EventKind,
+    InMemorySink,
+    JsonlSink,
+    TelemetryEvent,
+    TelemetryHub,
 )
 from repro.obs.tracefile import (
     TRACE_SCHEMA_VERSION,
@@ -68,14 +82,19 @@ from repro.obs.tracefile import (
 
 __all__ = [
     "Counter",
+    "EventKind",
     "FlightRecorder",
     "Gauge",
     "Histogram",
+    "InMemorySink",
+    "JsonlSink",
     "MetricsRegistry",
     "SCHEMA",
     "SCHEMA_VERSION",
     "StructuredLogger",
     "TRACE_SCHEMA_VERSION",
+    "TelemetryEvent",
+    "TelemetryHub",
     "TraceContext",
     "build_bench_report",
     "current_hub",
@@ -97,6 +116,7 @@ __all__ = [
     "span",
     "summarize_trace",
     "to_chrome",
+    "use_hub",
     "use_trace",
     "validate_bench_report",
     "write_report",

@@ -9,7 +9,7 @@ machines first:
   optional wall-clock ``ts`` last.  Two runs of a deterministic
   workload produce diffable logs, and ``grep '"event": "..."'`` works
   without a JSON parser;
-* **trace correlation** — while a :mod:`repro.obs.tracectx` context is
+* **trace correlation** — while a :mod:`repro.obs.context` trace is
   installed, records automatically gain the ``trace`` field, so a log
   line joins the distributed trace the same way telemetry events do;
 * **deterministic by the same switch as traces** — ``ts`` (epoch
@@ -30,6 +30,8 @@ import os
 import threading
 import time
 from pathlib import Path
+
+from repro.obs.context import current_trace
 
 #: numeric severities; records below the logger's level are dropped
 LEVELS = {"debug": 10, "info": 20, "warn": 30, "error": 40}
@@ -78,9 +80,9 @@ class StructuredLogger:
         if not self.enabled or severity < self._threshold:
             return
         if "trace" not in fields:
-            trace_id = _ambient_trace_id()
-            if trace_id is not None:
-                fields["trace"] = trace_id
+            ctx = current_trace()
+            if ctx is not None:
+                fields["trace"] = ctx.trace_id
         ts = time.time() if self.record_time else None
         with self._lock:
             self._seq += 1
@@ -118,13 +120,6 @@ class StructuredLogger:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-
-def _ambient_trace_id() -> str | None:
-    from repro.obs.tracectx import current_trace
-
-    ctx = current_trace()
-    return None if ctx is None else ctx.trace_id
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,9 @@ import json
 import subprocess
 from pathlib import Path
 
+from repro.obs.metrics import get_registry
+from repro.obs.spans import span_timings
+
 SCHEMA = "orion-bench-report"
 SCHEMA_VERSION = 1
 
@@ -72,23 +75,17 @@ def build_bench_report(
     ``rows`` is the ``bench_suite`` result — ``(name, ExecutionReport)``
     pairs; ``measurement_stats``/``compile_stats`` are
     :class:`~repro.perf.cache.CacheStats`; ``telemetry`` a
-    :class:`~repro.runtime.telemetry.TelemetryHub` whose per-kind counts
+    :class:`~repro.obs.telemetry.TelemetryHub` whose per-kind counts
     are embedded; ``metrics_snapshot`` defaults to the process-wide
-    registry's snapshot.  ``strategy`` records the allocation-strategy
-    selector the suite compiled under; each kernel row also carries the
-    *winning version's* concrete strategy, so a mixed run shows which
-    spill target each kernel's tuner actually picked.
+    registry's snapshot, and the per-span ``timings`` are read from it.
+    ``strategy`` records the allocation-strategy selector the suite
+    compiled under; each kernel row also carries the *winning version's*
+    concrete strategy, so a mixed run shows which spill target each
+    kernel's tuner actually picked.
     """
     if metrics_snapshot is None:
-        from repro.obs.metrics import get_registry
-
         metrics_snapshot = get_registry().snapshot()
-    from repro.perf.timers import TIMERS
-
-    timings = {
-        name: {"calls": stats.calls, "seconds": stats.seconds}
-        for name, stats in sorted(TIMERS.snapshot().items())
-    }
+    timings = span_timings(metrics_snapshot)
     kernels = []
     for name, report in rows:
         final = report.final_version

@@ -1,155 +1,94 @@
 """Hierarchical spans: one timing API across compiler, runtime, harness.
 
-``with span("allocate", kernel=...)`` is the successor of the old
-``PhaseTimers.phase`` context manager, with three upgrades:
+``with span("allocate", kernel=...)`` times one region and reports it
+two ways:
 
-* **trace events** — when a :class:`~repro.runtime.telemetry.TelemetryHub`
-  is installed (:func:`use_hub`), every span emits paired
-  ``SPAN_START``/``SPAN_END`` events, so JSONL traces interleave timing
-  structure with the engine's existing event stream.  Span ids are
+* **trace events** — when a :class:`~repro.obs.telemetry.TelemetryHub`
+  is ambient (:func:`repro.obs.context.use_hub`), every span emits
+  paired ``SPAN_START``/``SPAN_END`` events, so JSONL traces interleave
+  timing structure with the engine's event stream.  Span ids are
   allocated *per session scope* by the hub, which keeps a session's
   event subsequence deterministic under any scheduler interleaving;
   wall-clock durations ride in the event's separate optional ``wall``
   field so traces stay diffable (and byte-identical when the hub
   suppresses durations).
-* **re-entrancy safety** — a span nested inside a same-named span
-  charges nothing extra: only the outermost occurrence per thread
-  charges :data:`repro.perf.timers.TIMERS` and the span metrics, so
-  recursive or re-entered phases no longer double-count.
-* **metrics** — outermost spans also charge ``orion_spans_total`` and
-  ``orion_span_seconds_total`` in the process-wide metrics registry.
+* **metrics** — ``orion_spans_total`` and ``orion_span_seconds_total``
+  in the process-wide registry, charged once per *outermost* same-named
+  span: a span nested inside a same-named span charges nothing extra,
+  so recursive or re-entered phases are never double-counted.
+  :func:`span_timings` reads the two back as per-name calls and
+  seconds, the figures ``repro compile --timings`` and the bench
+  report's ``timings`` show.
 
-The hub installation is process-global (not thread-local) on purpose:
-the execution engine installs its hub once and spans opened by its
-scheduler's *worker threads* still find it.  Span nesting state is
-thread-local, so parent/child links never cross threads.
+The open span is part of the ambient context (:mod:`repro.obs.context`):
+each span links to the span that enclosed it, and that chain — private
+to the task or thread that opened it — gives both the parent id and the
+re-entrancy check.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
 
+from repro.obs.context import OpenSpan, ambient, scoped
 from repro.obs.metrics import get_registry
-from repro.perf.timers import TIMERS
+from repro.obs.telemetry import EventKind
 
-_hubs: list = []
-_hubs_lock = threading.Lock()
-_local = threading.local()
-
-_SPAN_KINDS = None  # resolved lazily to avoid an import cycle
-
-
-def _span_kinds():
-    global _SPAN_KINDS
-    if _SPAN_KINDS is None:
-        from repro.runtime.telemetry import EventKind
-
-        _SPAN_KINDS = (EventKind.SPAN_START, EventKind.SPAN_END)
-    return _SPAN_KINDS
-
-
-def current_hub():
-    """The innermost installed hub, or ``None`` outside any trace."""
-    with _hubs_lock:
-        return _hubs[-1] if _hubs else None
+_CALLS = "orion_spans_total"
+_SECONDS = "orion_span_seconds_total"
 
 
 @contextmanager
-def use_hub(hub) -> Iterator[object]:
-    """Install ``hub`` as the ambient span destination.
-
-    Nestable and re-entrant: installing the same hub twice (the engine
-    does, ``run_many`` → ``run`` → ``measure``) is harmless, and
-    uninstalling removes one occurrence of exactly that hub, so
-    concurrent installs from scheduler threads never pop a stranger.
-    """
-    with _hubs_lock:
-        _hubs.append(hub)
-    try:
-        yield hub
-    finally:
-        with _hubs_lock:
-            for i in range(len(_hubs) - 1, -1, -1):
-                if _hubs[i] is hub:
-                    del _hubs[i]
-                    break
-
-
-@dataclass
-class _ActiveSpan:
-    name: str
-    session: str | None
-    span_id: int | None
-
-
-def _stack() -> list[_ActiveSpan]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
-
-
-def current_span() -> _ActiveSpan | None:
-    """The innermost span open on this thread, if any."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def span(
-    name: str, session: str | None = None, timer: bool = True, **labels
-) -> Iterator[None]:
+def span(name: str, session: str | None = None, **labels) -> Iterator[None]:
     """Open one hierarchical span.
 
     ``session`` labels the emitted events (and scopes the span id);
-    ``labels`` ride in both the start and end events' data.  ``timer``
-    controls whether the span charges the process-wide phase timers and
-    span metrics (outermost same-named occurrence only).
+    ``labels`` ride in both the start and end events' data.
     """
-    hub = current_hub()
-    stack = _stack()
+    outer = ambient()
+    hub = outer.hub
+    enclosing = list(outer.open_spans())
     span_id = parent = None
     if hub is not None:
-        start_kind, end_kind = _span_kinds()
         span_id = hub.next_span_id(session)
-        for active in reversed(stack):
-            if active.session == session and active.span_id is not None:
-                parent = active.span_id
-                break
-        hub.emit(
-            start_kind, session, name=name, span=span_id, parent=parent,
-            **labels,
+        parent = next(
+            (
+                active.span_id
+                for active in enclosing
+                if active.session == session and active.span_id is not None
+            ),
+            None,
         )
-    reentrant = any(active.name == name for active in stack)
-    stack.append(_ActiveSpan(name, session, span_id))
+        hub.emit(
+            EventKind.SPAN_START, session, name=name, span=span_id,
+            parent=parent, **labels,
+        )
+    reentrant = any(active.name == name for active in enclosing)
     start = time.perf_counter()
     status = "ok"
     try:
-        yield
+        with scoped(span=OpenSpan(name, session, span_id, outer.span)):
+            yield
     except BaseException:
         status = "error"
         raise
     finally:
         elapsed = time.perf_counter() - start
-        stack.pop()
-        if timer and not reentrant:
-            TIMERS.add(name, elapsed)
+        if not reentrant:
             registry = get_registry()
+            registry.counter(_CALLS, "Completed spans per span name.").inc(
+                name=name
+            )
             registry.counter(
-                "orion_spans_total", "Completed spans per span name."
-            ).inc(name=name)
-            registry.counter(
-                "orion_span_seconds_total",
+                _SECONDS,
                 "Wall-clock seconds spent inside spans, outermost "
                 "occurrence per name only.",
             ).inc(elapsed, name=name)
         if hub is not None:
             hub.emit(
-                end_kind,
+                EventKind.SPAN_END,
                 session,
                 wall=elapsed,
                 name=name,
@@ -158,3 +97,26 @@ def span(
                 status=status,
                 **labels,
             )
+
+
+def span_timings(snapshot: dict | None = None) -> dict[str, dict]:
+    """Per span name, ``{"calls": n, "seconds": s}``, sorted by name.
+
+    Read from a registry snapshot (default: the live registry's), so a
+    bench report's ``timings`` and its ``metrics`` never disagree.
+    """
+    if snapshot is None:
+        snapshot = get_registry().snapshot()
+    samples = {
+        family["name"]: {
+            sample["labels"]["name"]: sample["value"]
+            for sample in family["samples"]
+        }
+        for family in snapshot.get("metrics", [])
+        if family["name"] in (_CALLS, _SECONDS)
+    }
+    seconds = samples.get(_SECONDS, {})
+    return {
+        name: {"calls": calls, "seconds": seconds.get(name, 0.0)}
+        for name, calls in sorted(samples.get(_CALLS, {}).items())
+    }

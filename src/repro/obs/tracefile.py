@@ -1,7 +1,7 @@
 """Trace-file tooling: read, summarize, filter, diff, export.
 
 A *trace file* is the JSONL stream a
-:class:`~repro.runtime.telemetry.JsonlSink` writes: one event per line,
+:class:`~repro.obs.telemetry.JsonlSink` writes: one event per line,
 ``seq``-ordered, schema version :data:`TRACE_SCHEMA_VERSION` (see
 ``docs/observability.md`` for the field-by-field description).  This
 module is the analysis half — everything the ``repro trace`` CLI

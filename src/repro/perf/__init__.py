@@ -1,9 +1,9 @@
-"""Compilation-performance infrastructure: caching and phase timing.
+"""Performance infrastructure: the compile and measurement caches.
 
 The pipeline (:mod:`repro.compiler.pipeline`) consults a
-content-addressed compile cache before doing any work and charges each
-stage to a process-wide phase timer, so the harness and CLI can report
-where compile time goes and how often the cache pays off.
+content-addressed compile cache before doing any work, and the engine
+a measurement cache before any backend call.  Where compile time goes
+is reported by the stages' spans (:mod:`repro.obs.spans`).
 """
 
 from repro.perf.cache import (
@@ -14,15 +14,11 @@ from repro.perf.cache import (
     reset_default_cache,
 )
 from repro.perf.measure_cache import MeasurementCache, measurement_cache_key
-from repro.perf.timers import PhaseStats, PhaseTimers, TIMERS
 
 __all__ = [
     "CacheStats",
     "CompileCache",
     "MeasurementCache",
-    "PhaseStats",
-    "PhaseTimers",
-    "TIMERS",
     "compile_cache_key",
     "default_cache",
     "measurement_cache_key",

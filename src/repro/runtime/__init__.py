@@ -1,6 +1,7 @@
-"""The Orion runtime: Fig. 9 dynamic adaptation, kernel splitting, the
-execution engine (pluggable backends, concurrent sessions, measurement
-cache), and structured telemetry (paper Section 3.4)."""
+"""The Orion runtime: Fig. 9 dynamic adaptation, kernel splitting and
+the execution engine (pluggable backends, concurrent sessions,
+measurement cache), paper Section 3.4.  The engine's telemetry events
+and hub live in :mod:`repro.obs.telemetry`."""
 
 from repro.runtime.adaptation import DynamicTuner, TrialRecord
 from repro.runtime.engine import ExecutionEngine, MeasurementPool
@@ -19,27 +20,15 @@ from repro.runtime.splitting import (
     split_launch,
     splittable,
 )
-from repro.runtime.telemetry import (
-    EventKind,
-    InMemorySink,
-    JsonlSink,
-    TelemetryEvent,
-    TelemetryHub,
-)
 
 __all__ = [
     "DynamicTuner",
-    "EventKind",
     "ExecutionEngine",
     "ExecutionReport",
-    "InMemorySink",
     "IterationRecord",
-    "JsonlSink",
     "MeasurementPool",
     "OrionRuntime",
     "SplitLaunch",
-    "TelemetryEvent",
-    "TelemetryHub",
     "TrialRecord",
     "TuningSession",
     "Workload",

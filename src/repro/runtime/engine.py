@@ -21,7 +21,7 @@ a time; the engine
   ``run_many`` threads and the tuning daemon's cold-tune workers
   alike — keep the timing backend's per-module trace cache hot;
 * narrates everything through structured telemetry
-  (:mod:`repro.runtime.telemetry`): a JSONL trace via
+  (:mod:`repro.obs.telemetry`): a JSONL trace via
   ``ORION_TRACE_FILE``/``--trace``, an in-memory stream for tests.
 
 Determinism is load-bearing: backends are pure functions of the
@@ -41,7 +41,9 @@ from pathlib import Path
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.compiler.multiversion import MultiVersionBinary, version_content_hash
 from repro.compiler.realize import KernelVersion
-from repro.obs.spans import span, use_hub
+from repro.obs.context import use_hub
+from repro.obs.spans import span
+from repro.obs.telemetry import EventKind, JsonlSink, TelemetryHub
 from repro.perf.measure_cache import MeasurementCache, measurement_cache_key
 from repro.runtime.session import (
     ExecutionReport,
@@ -50,7 +52,6 @@ from repro.runtime.session import (
     iteration_launches,
     scaled_launch,
 )
-from repro.runtime.telemetry import EventKind, JsonlSink, TelemetryHub
 from repro.sim.backend import (
     ExecutionBackend,
     MeasurementRequest,

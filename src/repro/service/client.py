@@ -150,8 +150,12 @@ class TuningClient:
         """The context this request runs under, or ``None`` untraced."""
         if self.trace is False:
             return None
-        from repro.obs.spans import current_hub
-        from repro.obs.tracectx import TraceContext, current_trace, new_trace_id
+        from repro.obs.context import (
+            TraceContext,
+            current_hub,
+            current_trace,
+            new_trace_id,
+        )
 
         ctx = current_trace()
         if ctx is not None:
@@ -168,8 +172,8 @@ class TuningClient:
         Without a hub there is no local span (nothing would record it)
         and the request is stamped with the context's own parent.
         """
-        from repro.obs.spans import current_hub, current_span, span
-        from repro.obs.tracectx import use_trace
+        from repro.obs.context import current_hub, current_span, use_trace
+        from repro.obs.spans import span
 
         with use_trace(ctx):
             if current_hub() is None:

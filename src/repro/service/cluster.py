@@ -262,7 +262,7 @@ class Replicator:
         context (the request that caused this publish) is captured here
         and stamped onto the eventual ``replicate`` frame.
         """
-        from repro.obs.tracectx import current_trace
+        from repro.obs.context import current_trace
 
         ctx = current_trace()
         trace_id = None if ctx is None else ctx.trace_id

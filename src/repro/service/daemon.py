@@ -47,12 +47,17 @@ Three always-on diagnostics ride on the same dispatch seam:
 * **distributed tracing** — a request carrying ``trace_id``/
   ``parent_span_id`` envelope fields (or any request, when this daemon
   writes a trace file: an untraced request gets a freshly minted id)
-  runs under that :class:`~repro.obs.tracectx.TraceContext`; every
+  runs under that :class:`~repro.obs.context.TraceContext`; every
   telemetry event it causes — the ``daemon_request`` span, engine and
   session spans on the worker threads, forward and replicate hops to
   peers — carries the trace id, the latency histogram keeps the id as
   an exemplar, and ``repro trace merge`` joins the per-node files back
-  into one timeline;
+  into one timeline.  The hub, the open span and the trace ids are the
+  request's ambient context (:mod:`repro.obs.context`): each connection
+  handler is its own asyncio task, so concurrent requests on the one
+  event-loop thread never see each other's span, and the tune and store
+  executors run each job in a fresh ``contextvars.copy_context()`` of
+  the request that submitted it;
 * **structured logging** — lifecycle, failures, and retries go to the
   JSONL log (``--log-file`` / ``$ORION_LOG``) with trace correlation;
 * **the flight recorder** — every dispatched request leaves a summary
@@ -79,19 +84,25 @@ from __future__ import annotations
 import asyncio
 import base64
 import binascii
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from contextlib import nullcontext
-
 from repro.compiler.multiversion import MultiVersionBinary
 from repro.isa.encoding import CodecError
+from repro.obs.context import (
+    TraceContext,
+    current_span,
+    current_trace,
+    new_trace_id,
+    use_hub,
+    use_trace,
+)
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import StructuredLogger, get_logger
-from repro.obs.spans import current_span, span, use_hub
-from repro.obs.tracectx import TraceContext, current_trace, new_trace_id, use_trace
+from repro.obs.spans import span
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import TuningSession, Workload
 from repro.service import protocol
@@ -510,9 +521,13 @@ class TuningDaemon:
         return await self._tune(payload, hops)
 
     async def _store_call(self, fn, *args):
-        """Run one blocking store operation off the event-loop thread."""
+        """Run one blocking store operation off the event-loop thread,
+        in a copy of the calling request's context, so anything the
+        call records joins that request."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._store_pool, fn, *args)
+        return await loop.run_in_executor(
+            self._store_pool, contextvars.copy_context().run, fn, *args
+        )
 
     async def _query(self, payload: dict, hops: int = 0) -> tuple[dict, str]:
         key = payload.get("key")
@@ -681,12 +696,12 @@ class TuningDaemon:
         self, key: str, binary: MultiVersionBinary, workload: Workload
     ) -> asyncio.Future:
         loop = asyncio.get_running_loop()
-        # contextvars do not cross run_in_executor: hand the ambient
-        # trace context to the worker thread explicitly, so engine and
-        # session spans of this cold tune join the request's trace.
-        ctx = current_trace()
+        # contextvars do not cross run_in_executor: run the job in a
+        # copy of this request's context, so engine and session spans
+        # of this cold tune join the request's trace.
         future = loop.run_in_executor(
-            self._pool, self._tune_sync, key, binary, workload, ctx
+            self._pool, contextvars.copy_context().run, self._tune_sync,
+            key, binary, workload,
         )
         self._inflight[key] = future
         self._pending += 1
@@ -701,18 +716,11 @@ class TuningDaemon:
         return future
 
     def _tune_sync(
-        self,
-        key: str,
-        binary: MultiVersionBinary,
-        workload: Workload,
-        ctx: TraceContext | None = None,
+        self, key: str, binary: MultiVersionBinary, workload: Workload
     ) -> TuningRecord:
         """One cold tune on a worker thread: run, publish, return."""
-        from repro.service.fingerprint import kernel_fingerprint
-
-        with use_trace(ctx) if ctx is not None else nullcontext():
-            session = TuningSession(binary, workload)
-            report = self.engine.run(session)
+        session = TuningSession(binary, workload)
+        report = self.engine.run(session)
         record = record_from_report(
             key,
             kernel_fingerprint(binary),

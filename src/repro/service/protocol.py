@@ -34,7 +34,7 @@ generation id) to replicas; ``sync`` is the pull-side catch-up a
 
 Any version-2 request may additionally carry **trace context** — two
 optional envelope fields linking the request into a distributed trace
-(see :mod:`repro.obs.tracectx`)::
+(see :mod:`repro.obs.context`)::
 
     {"v": 2, "type": "tune", ..., "trace_id": "9f2ab31c77d0e884",
      "parent_span_id": 3}

@@ -11,9 +11,9 @@ import json
 
 import pytest
 
+from repro.obs.context import TraceContext, use_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import LEVELS, StructuredLogger, configure, get_logger
-from repro.obs.tracectx import TraceContext, use_trace
 
 
 def read_log(path):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.metrics import get_registry, reset_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, reset_registry
 from repro.obs.report import (
     SCHEMA,
     SCHEMA_VERSION,
@@ -14,8 +14,8 @@ from repro.obs.report import (
     validate_bench_report,
     write_report,
 )
+from repro.obs.telemetry import EventKind, TelemetryHub
 from repro.perf.cache import CacheStats
-from repro.runtime.telemetry import EventKind, TelemetryHub
 
 
 def fake_rows():
@@ -84,6 +84,13 @@ class TestBuild:
     def test_defaults_to_process_registry_snapshot(self, charged_registry):
         names = {f["name"] for f in build()["metrics"]["metrics"]}
         assert "orion_cache_lookups_total" in names
+
+    def test_timings_are_read_from_the_metrics_snapshot(self):
+        registry = MetricsRegistry()
+        registry.counter("orion_spans_total").inc(name="alpha")
+        registry.counter("orion_span_seconds_total").inc(0.25, name="alpha")
+        report = build(metrics_snapshot=registry.snapshot())
+        assert report["timings"] == {"alpha": {"calls": 1, "seconds": 0.25}}
 
 
 class TestValidate:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.obs.spans import span, use_hub
+from repro.obs.context import use_hub
+from repro.obs.spans import span
+from repro.obs.telemetry import EventKind, JsonlSink, TelemetryHub
 from repro.obs.tracefile import (
     diff_traces,
     filter_trace,
@@ -16,7 +18,6 @@ from repro.obs.tracefile import (
     summarize_trace,
     to_chrome,
 )
-from repro.runtime.telemetry import EventKind, JsonlSink, TelemetryHub
 
 
 @pytest.fixture()

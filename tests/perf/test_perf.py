@@ -1,4 +1,4 @@
-"""Unit tests for the perf subsystem: compile cache and phase timers."""
+"""Unit tests for the perf subsystem: compile cache and phase report."""
 
 import os
 
@@ -7,13 +7,13 @@ import pytest
 from repro.arch import GTX680, TESLA_C2075
 from repro.compiler.pipeline import CompileOptions
 from repro.harness.reporting import format_phase_report
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import (
     CompileCache,
     compile_cache_key,
     default_cache,
     reset_default_cache,
 )
-from repro.perf.timers import PhaseTimers
 
 
 class TestCacheKey:
@@ -109,44 +109,26 @@ class TestDiskTier:
             reset_default_cache()
 
 
-class TestTimers:
-    def test_add_accumulates(self):
-        timers = PhaseTimers()
-        timers.add("alpha", 0.25)
-        timers.add("alpha", 0.25)
-        timers.add("beta", 1.5)
-        assert timers.phases["alpha"].calls == 2
-        assert timers.phases["alpha"].seconds == pytest.approx(0.5)
-        assert timers.phases["beta"].seconds == pytest.approx(1.5)
-        assert timers.total_seconds() == pytest.approx(2.0)
-
-    def test_snapshot_is_a_copy(self):
-        timers = PhaseTimers()
-        timers.add("alpha", 1.0)
-        snap = timers.snapshot()
-        timers.add("alpha", 1.0)
-        assert snap["alpha"].seconds == pytest.approx(1.0)
-
-    def test_reset(self):
-        timers = PhaseTimers()
-        timers.add("alpha", 1.0)
-        timers.reset()
-        assert timers.phases == {}
+def charged_spans(*phases):
+    """A registry snapshot charged the way spans charge it."""
+    registry = MetricsRegistry()
+    for name, seconds in phases:
+        registry.counter("orion_spans_total").inc(name=name)
+        registry.counter("orion_span_seconds_total").inc(seconds, name=name)
+    return registry.snapshot()
 
 
 class TestPhaseReport:
     def test_renders_timers_and_cache_counters(self):
-        timers = PhaseTimers()
-        timers.add("tuning", 2.0)
-        timers.add("front_end", 0.5)
+        snapshot = charged_spans(("front_end", 0.5), ("tuning", 2.0))
         cache = CompileCache()
         cache.store("ee" * 32, b"x")
         cache.lookup("ee" * 32)
-        report = format_phase_report(timers, cache.stats)
+        report = format_phase_report(snapshot, cache.stats)
         assert "tuning" in report
         assert "hit rate 100.0%" in report
         assert report.index("tuning") < report.index("front_end")  # sorted
 
     def test_empty_timers_render(self):
-        report = format_phase_report(PhaseTimers(), CompileCache().stats)
+        report = format_phase_report(charged_spans(), CompileCache().stats)
         assert "total" in report

@@ -6,11 +6,11 @@ import pytest
 
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
+from repro.obs.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.perf.measure_cache import MeasurementCache
 from repro.runtime import OrionRuntime, Workload
 from repro.runtime.engine import ExecutionEngine, _resolve_jobs
 from repro.runtime.session import TuningSession
-from repro.runtime.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.sim import LaunchConfig
 from tests.runtime.test_launcher import pressure_module
 

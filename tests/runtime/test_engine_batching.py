@@ -13,6 +13,7 @@ import pytest
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
 from repro.obs.metrics import get_registry, reset_registry
+from repro.obs.telemetry import InMemorySink, TelemetryHub
 from repro.runtime import Workload
 from repro.runtime.engine import (
     ExecutionEngine,
@@ -20,7 +21,6 @@ from repro.runtime.engine import (
     _resolve_batch,
 )
 from repro.runtime.session import TuningSession
-from repro.runtime.telemetry import InMemorySink, TelemetryHub
 from repro.sim import LaunchConfig
 from repro.sim.backend import MeasurementResult
 from tests.runtime.test_launcher import pressure_module

@@ -5,10 +5,10 @@ import pytest
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
 from repro.obs.metrics import get_registry
+from repro.obs.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.runtime import Workload
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import TuningSession
-from repro.runtime.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.sim import LaunchConfig
 from repro.sim.backend import get_backend
 from tests.runtime.test_launcher import pressure_module

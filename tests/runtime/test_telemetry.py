@@ -3,7 +3,7 @@
 import json
 import threading
 
-from repro.runtime.telemetry import (
+from repro.obs.telemetry import (
     EventKind,
     InMemorySink,
     JsonlSink,

@@ -17,8 +17,8 @@ import pytest
 
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
+from repro.obs.context import current_hub
 from repro.obs.metrics import get_registry
-from repro.obs.spans import current_hub
 from repro.runtime import Workload
 from repro.runtime.engine import ExecutionEngine
 from repro.service import protocol

@@ -16,10 +16,10 @@ from repro.compiler.multiversion import MultiVersionBinary
 from repro.harness.experiments import compiled
 from repro.isa.encoding import CodecError
 from repro.obs.metrics import get_registry
+from repro.obs.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.runtime import Workload
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import TuningSession
-from repro.runtime.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.service.store import TuningRecord, TuningStore
 from repro.sim import LaunchConfig
 from tests.helpers import corrupt_version
