@@ -162,22 +162,3 @@ def test_bench_matcher_solve_cfd_largest(benchmark, monkeypatch):
     assert matching._zero_cost_search(cost) is not None
     assign = benchmark(min_cost_assignment, cost)
     assert assign == matching._kuhn_munkres(cost)
-
-
-def test_bench_engine_batch_dispatch(benchmark):
-    """Pooled measurement dispatch overhead (single-flight + batching)."""
-    from repro.runtime.engine import MeasurementPool
-    from repro.sim.backend import MeasurementResult
-
-    class _NullBackend:
-        name = "null"
-
-        def measure(self, request):
-            return MeasurementResult(backend=self.name, cycles=1)
-
-    def run():
-        pool = MeasurementPool(_NullBackend(), batch=8)
-        return [pool.measure(f"key-{i}", i) for i in range(200)]
-
-    results = benchmark(run)
-    assert len(results) == 200

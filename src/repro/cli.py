@@ -15,7 +15,7 @@ CLI exposes the same workflow over ORAS files:
   the functional interpreter (see :mod:`repro.fuzz`);
 * ``sweep``    — time every occupancy level through a backend;
 * ``bench``    — drive the whole benchmark suite through the execution
-  engine, scheduling the per-kernel tuning sessions concurrently;
+  engine, one tuning session per kernel in turn;
   ``--report`` writes the versioned machine-readable bench report;
 * ``trace``    — analyse a JSONL telemetry trace: ``summary``,
   ``filter``, ``diff``, ``export --format chrome`` (Perfetto), plus
@@ -354,13 +354,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     arch = ARCHS[args.arch]
     strategy = args.strategy or default_strategy_id()
-    engine = ExecutionEngine(
-        arch, backend=args.backend, jobs=args.jobs, trace_file=args.trace
-    )
+    engine = ExecutionEngine(arch, backend=args.backend, trace_file=args.trace)
     try:
         rows = bench_suite(
-            arch, only=args.only, jobs=args.jobs, suite_engine=engine,
-            strategy=strategy,
+            arch, only=args.only, suite_engine=engine, strategy=strategy
         )
     finally:
         engine.telemetry.close()
@@ -992,12 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME",
         help="run only this benchmark (repeatable; default: all 14)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="concurrent tuning sessions (default: $ORION_ENGINE_JOBS or 1)",
     )
     p.add_argument(
         "--report",

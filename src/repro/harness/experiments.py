@@ -419,17 +419,14 @@ def _execute(spec: BenchmarkSpec, arch: GpuArchitecture):
 def bench_suite(
     arch: GpuArchitecture,
     backend: str = "timing",
-    jobs: int | None = None,
     only: list[str] | None = None,
     suite_engine: ExecutionEngine | None = None,
     strategy: str | None = None,
 ) -> list[tuple[str, ExecutionReport]]:
-    """Drive the whole benchmark suite through one engine, concurrently.
+    """Drive the whole benchmark suite through one engine.
 
-    One :class:`TuningSession` per benchmark, scheduled by
-    ``ExecutionEngine.run_many`` (``jobs``/``ORION_ENGINE_JOBS`` wide).
-    Sessions are independent and measurements content-addressed, so the
-    reports are identical at any scheduler width.  Pass ``suite_engine``
+    One :class:`TuningSession` per benchmark, run in turn by
+    ``ExecutionEngine.run_many``.  Pass ``suite_engine``
     to control the backend instance, telemetry sinks, or trace file;
     ``only`` restricts to a subset of benchmark names; ``strategy`` is
     the allocation-strategy selector handed to :func:`compiled`.
@@ -447,7 +444,7 @@ def bench_suite(
         )
         for name in names
     ]
-    reports = eng.run_many(sessions, jobs=jobs)
+    reports = eng.run_many(sessions)
     # The engine isolates per-session failures (slot is None) so the
     # rest of the suite completes; surface them here, after the batch.
     failed = [

@@ -1,10 +1,10 @@
 """The Orion runtime: Fig. 9 dynamic adaptation, kernel splitting and
-the execution engine (pluggable backends, concurrent sessions,
-measurement cache), paper Section 3.4.  The engine's telemetry events
+the execution engine (pluggable backends, tuning sessions, measurement
+cache), paper Section 3.4.  The engine's telemetry events
 and hub live in :mod:`repro.obs.telemetry`."""
 
 from repro.runtime.adaptation import DynamicTuner, TrialRecord
-from repro.runtime.engine import ExecutionEngine, MeasurementPool
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.launcher import OrionRuntime
 from repro.runtime.session import (
     ExecutionReport,
@@ -26,7 +26,6 @@ __all__ = [
     "ExecutionEngine",
     "ExecutionReport",
     "IterationRecord",
-    "MeasurementPool",
     "OrionRuntime",
     "SplitLaunch",
     "TrialRecord",

@@ -7,26 +7,22 @@ a time; the engine
 * measures through a pluggable :class:`~repro.sim.backend.ExecutionBackend`
   (timing simulator, analytical model, functional interpreter — or
   anything satisfying the protocol);
-* schedules many :class:`~repro.runtime.session.TuningSession`\\ s
-  concurrently over a thread pool (``ORION_ENGINE_JOBS`` / ``jobs``,
-  the same convention as the compiler's ``ORION_COMPILE_JOBS``);
+* runs :class:`~repro.runtime.session.TuningSession`\\ s one after
+  another (``run_many``), or one per calling thread (the tuning
+  daemon's tune workers share one engine);
 * dedupes repeated measurements across sessions and experiments in a
   shared content-addressed
   :class:`~repro.perf.measure_cache.MeasurementCache` (keyed on module
-  hash + launch + traits + cache config + backend);
-* funnels every cache miss through one shared :class:`MeasurementPool`
-  (``ORION_ENGINE_BATCH`` / ``batch``) that collapses concurrent
-  identical requests to a single backend invocation and dispatches
-  distinct concurrent misses in batches, so overlapping sessions —
-  ``run_many`` threads and the tuning daemon's cold-tune workers
-  alike — keep the timing backend's per-module trace cache hot;
+  hash + launch + traits + cache config + backend), and collapses
+  concurrent misses on one key to a single backend invocation
+  (single-flight);
 * narrates everything through structured telemetry
   (:mod:`repro.obs.telemetry`): a JSONL trace via
   ``ORION_TRACE_FILE``/``--trace``, an in-memory stream for tests.
 
 Determinism is load-bearing: backends are pure functions of the
-request, sessions are independent, and reports are ordered by input —
-so concurrent execution is bit-identical to sequential.
+request and sessions are independent, so sessions run from concurrent
+threads report exactly what a sequential run reports.
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ from __future__ import annotations
 import os
 import threading
 import traceback
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.arch.specs import CacheConfig, GpuArchitecture
@@ -61,155 +55,19 @@ from repro.sim.backend import (
 from repro.sim.interp import LaunchConfig
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    """Effective scheduler width: explicit arg, else ``ORION_ENGINE_JOBS``."""
-    if jobs is None:
-        raw = os.environ.get("ORION_ENGINE_JOBS", "")
-        try:
-            jobs = int(raw) if raw else 1
-        except ValueError:
-            jobs = 1
-    return max(1, jobs)
-
-
-def _resolve_batch(batch: int | None) -> int:
-    """Measurement batch size: explicit arg, else ``ORION_ENGINE_BATCH``.
-
-    ``<= 1`` disables pooled dispatch (every caller invokes the backend
-    directly, the pre-pool engine behaviour).
-    """
-    if batch is None:
-        raw = os.environ.get("ORION_ENGINE_BATCH", "")
-        try:
-            batch = int(raw) if raw else 8
-        except ValueError:
-            batch = 8
-    return max(0, batch)
-
-
 class _Flight:
-    """One in-flight backend measurement awaited by >= 1 threads."""
+    """One backend measurement in progress; joiners wait on ``done``."""
 
-    __slots__ = ("key", "request", "event", "result", "error", "done")
+    __slots__ = ("done", "result", "error")
 
-    def __init__(self, key: str, request: MeasurementRequest) -> None:
-        self.key = key
-        self.request = request
-        self.event = threading.Event()
+    def __init__(self) -> None:
+        self.done = threading.Event()
         self.result: MeasurementResult | None = None
         self.error: BaseException | None = None
-        self.done = False
-
-
-class MeasurementPool:
-    """Batched, deduplicated dispatch of backend measurements.
-
-    One pool per engine, shared by every consumer of that engine —
-    ``run_many`` session threads and the tuning daemon's cold-tune
-    workers alike.  Two jobs:
-
-    * **single-flight** — concurrent requests for the same cache key
-      collapse to one backend invocation; late arrivals wait for the
-      first result instead of repeating the work;
-    * **batching** — distinct concurrent misses are claimed in groups
-      of up to ``batch`` and dispatched together by the claiming
-      thread, keeping same-binary candidates temporally adjacent so
-      the timing backend's per-module trace cache stays hot across
-      sessions.
-
-    Backends are pure functions of the request, so pooled results are
-    identical to direct calls; only wall-clock time and telemetry
-    interleaving change.  No dispatcher thread exists: the first
-    caller to queue a flight drives batches until its own flight
-    resolves (or another driver claims it), so an idle engine holds no
-    resources and there is nothing to shut down.
-    """
-
-    def __init__(
-        self, backend: ExecutionBackend, batch: int | None = None
-    ) -> None:
-        self.backend = backend
-        self.batch = _resolve_batch(batch)
-        self._lock = threading.Lock()
-        self._inflight: dict[str, _Flight] = {}
-        self._queue: deque[_Flight] = deque()
-
-    def measure(
-        self, key: str, request: MeasurementRequest
-    ) -> MeasurementResult:
-        """Measure ``request``, joining an identical in-flight call."""
-        if self.batch <= 1:
-            return self.backend.measure(request)
-        with self._lock:
-            flight = self._inflight.get(key)
-            joined = flight is not None
-            if not joined:
-                flight = _Flight(key, request)
-                self._inflight[key] = flight
-                self._queue.append(flight)
-        self._count("joined" if joined else "queued")
-        if not joined:
-            self._drive(flight)
-        flight.event.wait()
-        if flight.error is not None:
-            raise flight.error
-        return flight.result
-
-    def _drive(self, own: _Flight) -> None:
-        """Claim and dispatch queued flights until ``own`` resolves.
-
-        Every queued flight is popped exactly once, by exactly one
-        driver, who always resolves it — so when the queue is empty and
-        ``own`` is not done, some other driver holds it and will set
-        its event; waiting is safe.
-        """
-        while True:
-            with self._lock:
-                if own.done:
-                    return
-                batch = []
-                while self._queue and len(batch) < self.batch:
-                    batch.append(self._queue.popleft())
-            if not batch:
-                return
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list[_Flight]) -> None:
-        self._observe_batch(len(batch))
-        for flight in batch:
-            try:
-                flight.result = self.backend.measure(flight.request)
-            except Exception as exc:  # noqa: BLE001 — deliver to waiters
-                flight.error = exc
-        with self._lock:
-            for flight in batch:
-                self._inflight.pop(flight.key, None)
-                flight.done = True
-        for flight in batch:
-            flight.event.set()
-
-    @staticmethod
-    def _count(result: str) -> None:
-        from repro.obs.metrics import get_registry
-
-        get_registry().counter(
-            "orion_engine_measurements_total",
-            "Pooled backend measurement requests by outcome.",
-        ).inc(result=result)
-
-    @staticmethod
-    def _observe_batch(size: int) -> None:
-        from repro.obs.metrics import get_registry
-
-        get_registry().histogram(
-            "orion_engine_batch_size",
-            "Backend measurements dispatched per claimed batch.",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-        ).observe(size)
 
 
 class ExecutionEngine:
-    """Schedules tuning sessions over a backend + measurement cache."""
+    """Runs tuning sessions over a backend + measurement cache."""
 
     def __init__(
         self,
@@ -218,8 +76,6 @@ class ExecutionEngine:
         cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
         measurement_cache: MeasurementCache | None = None,
         telemetry: TelemetryHub | None = None,
-        jobs: int | None = None,
-        batch: int | None = None,
         trace_file: str | os.PathLike | None = None,
         tuning_store=None,
     ) -> None:
@@ -228,9 +84,10 @@ class ExecutionEngine:
         self.cache_config = cache_config
         self.cache = measurement_cache or MeasurementCache()
         self.telemetry = telemetry or TelemetryHub()
-        self.jobs = jobs
-        self.pool = MeasurementPool(self.backend, batch)
+        #: guards ``cache`` and ``_inflight``
         self._lock = threading.Lock()
+        #: cache keys being measured now, each by the thread that missed first
+        self._inflight: dict[str, _Flight] = {}
         trace = trace_file or os.environ.get("ORION_TRACE_FILE") or None
         #: where this engine's JSONL trace lands (None: not tracing);
         #: the daemon's HTTP sidecar serves it as /debug/trace and uses
@@ -300,6 +157,11 @@ class ExecutionEngine:
         )
         with self._lock:
             payload = self.cache.get(key)
+            if payload is None:
+                flight = self._inflight.get(key)
+                owner = flight is None
+                if owner:
+                    flight = self._inflight[key] = _Flight()
         if payload is not None:
             self.telemetry.emit(
                 EventKind.CACHE_HIT, session, label=version.label, key=key[:12]
@@ -308,6 +170,8 @@ class ExecutionEngine:
         self.telemetry.emit(
             EventKind.CACHE_MISS, session, label=version.label, key=key[:12]
         )
+        if not owner:
+            return self._join(flight)
         self.telemetry.emit(
             EventKind.BACKEND_INVOKE,
             session,
@@ -316,23 +180,46 @@ class ExecutionEngine:
             grid_blocks=launch.grid_blocks,
             block_size=launch.block_size,
         )
-        result = self.pool.measure(
-            key,
-            MeasurementRequest(
-                arch=self.arch,
-                version=version,
-                launch=launch,
-                cache_config=self.cache_config,
-                traits=workload.traits,
-                ilp=workload.ilp,
-                max_events_per_warp=workload.max_events_per_warp,
-                global_memory=workload.global_memory,
-                forced_warps=forced_warps,
-            ),
+        request = MeasurementRequest(
+            arch=self.arch,
+            version=version,
+            launch=launch,
+            cache_config=self.cache_config,
+            traits=workload.traits,
+            ilp=workload.ilp,
+            max_events_per_warp=workload.max_events_per_warp,
+            global_memory=workload.global_memory,
+            forced_warps=forced_warps,
         )
-        with self._lock:
-            self.cache.put(key, result.to_payload())
-        return result
+        try:
+            flight.result = self.backend.measure(request)
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            # Store and retire in one critical section: a thread that
+            # arrives after this finds the result in the cache, one that
+            # arrived before has joined the flight.
+            with self._lock:
+                if flight.error is None:
+                    self.cache.put(key, flight.result.to_payload())
+                del self._inflight[key]
+            flight.done.set()
+        return flight.result
+
+    @staticmethod
+    def _join(flight: _Flight) -> MeasurementResult:
+        """Wait for another thread's measurement of the same key."""
+        from repro.obs.metrics import get_registry
+
+        get_registry().counter(
+            "orion_engine_measurements_total",
+            "Cache misses that joined another thread's backend call.",
+        ).inc(result="joined")
+        flight.done.wait()
+        if flight.error is not None:
+            raise flight.error
+        return flight.result
 
     def measure_pinned(
         self,
@@ -520,14 +407,11 @@ class ExecutionEngine:
         ).inc(result=result)
 
     def run_many(
-        self, sessions: list[TuningSession], jobs: int | None = None
+        self, sessions: list[TuningSession]
     ) -> list[ExecutionReport | None]:
-        """Run sessions concurrently; reports in input order.
+        """Run sessions one after another; reports in input order.
 
-        Sessions are independent and measurements deterministic, so the
-        reports are identical to sequential execution — concurrency
-        changes wall-clock time and telemetry interleaving only.  The
-        shared measurement cache makes overlapping sessions (same
+        The shared measurement cache makes overlapping sessions (same
         kernel, same launches) collapse to one backend invocation per
         distinct measurement.
 
@@ -536,24 +420,15 @@ class ExecutionEngine:
         ``session.error`` and a ``SESSION_FAILED`` telemetry event, and
         every other session still runs to completion.
         """
-        jobs = _resolve_jobs(self.jobs if jobs is None else jobs)
-        width = min(jobs, len(sessions)) if sessions else 1
-        with use_hub(self.telemetry), span(
-            "engine", sessions=len(sessions), jobs=width
-        ):
+        with use_hub(self.telemetry), span("engine", sessions=len(sessions)):
             self.telemetry.emit(
                 EventKind.ENGINE_START,
                 None,
                 sessions=len(sessions),
-                jobs=width,
                 backend=self.backend.name,
                 arch=self.arch.name,
             )
-            if width <= 1:
-                reports = [self._run_isolated(s) for s in sessions]
-            else:
-                with ThreadPoolExecutor(max_workers=width) as pool:
-                    reports = list(pool.map(self._run_isolated, sessions))
+            reports = [self._run_isolated(s) for s in sessions]
             stats = self.cache.stats
             self.telemetry.emit(
                 EventKind.ENGINE_FINISH,
@@ -569,7 +444,7 @@ class ExecutionEngine:
         return reports
 
     def _run_isolated(self, session: TuningSession) -> ExecutionReport | None:
-        """One scheduled session; a failure is reported, not propagated."""
+        """One session of a batch; a failure is reported, not propagated."""
         try:
             return self.run(session)
         except Exception as exc:  # noqa: BLE001 — isolate bad workloads

@@ -6,8 +6,8 @@ workload description; the daemon answers from the persistent
 :class:`~repro.service.store.TuningStore` when it already knows the
 winner (a *warm hit* — zero measurement-backend invocations) and
 otherwise drives one :class:`~repro.runtime.session.TuningSession`
-through its :class:`~repro.runtime.engine.ExecutionEngine` worker pool
-and publishes the converged result back to the store.
+through its :class:`~repro.runtime.engine.ExecutionEngine` on one of
+its tune workers and publishes the converged result back to the store.
 
 A tune request's binary is parsed only as far as its container
 (:func:`decode_binary`): the store key, the ring owner and forwarding
@@ -28,10 +28,9 @@ Load discipline, in order of application:
    answers ``code="timeout"`` while the underlying job keeps running
    (a later identical request joins it via single-flight).
 
-Below the session layer, concurrent cold tunes share the engine's
-:class:`~repro.runtime.engine.MeasurementPool`: candidate measurements
-from different tune jobs are deduplicated per cache key and dispatched
-in batches (``ORION_ENGINE_BATCH``), exactly like ``run_many``.
+Below the session layer, the tune workers share one engine: a
+candidate measurement that two tune jobs miss at once runs the backend
+once (the engine's single-flight) and lands in its measurement cache.
 
 Every request is wrapped in a ``daemon_request`` span, charged exactly
 once to ``orion_daemon_requests_total{type,outcome}`` and the

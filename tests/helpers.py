@@ -242,3 +242,30 @@ def corrupt_version(data: bytes, label: str) -> bytes:
     ]
     version.binary = b"XXXX" + version.binary[4:]
     return binary.to_bytes()
+
+
+# ----------------------------------------------------------------------
+# One engine shared by threads, as the daemon's tune workers share it
+# ----------------------------------------------------------------------
+def run_on_threads(engine, sessions, threads: int) -> list:
+    """Run ``sessions`` through ``engine.run`` from ``threads`` threads.
+
+    Thread ``t`` runs sessions ``t``, ``t + threads``, … in turn; the
+    reports come back in input order.
+    """
+    reports: list = [None] * len(sessions)
+
+    def work(first: int) -> None:
+        for i in range(first, len(sessions), threads):
+            reports[i] = engine.run(sessions[i])
+
+    workers = [
+        threading.Thread(target=work, args=(t,), daemon=True)
+        for t in range(threads)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=240)
+    assert not any(w.is_alive() for w in workers), "sessions hung"
+    return reports

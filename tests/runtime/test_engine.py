@@ -1,4 +1,4 @@
-"""Execution engine tests: scheduling, caching, telemetry, backends."""
+"""Execution engine tests: sessions, caching, telemetry, backends."""
 
 import json
 
@@ -9,7 +9,7 @@ from repro.compiler import CompileOptions, compile_binary
 from repro.obs.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.perf.measure_cache import MeasurementCache
 from repro.runtime import OrionRuntime, Workload
-from repro.runtime.engine import ExecutionEngine, _resolve_jobs
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import TuningSession
 from repro.sim import LaunchConfig
 from tests.runtime.test_launcher import pressure_module
@@ -94,33 +94,11 @@ class TestEngineRun:
 
 
 class TestRunMany:
-    def test_concurrent_identical_to_sequential(self, binary, workload):
-        sequential_engine, _ = engine_with_sink()
-        sequential = sequential_engine.run_many(
-            [session_for(binary, workload, name=f"s{i}") for i in range(3)],
-            jobs=1,
-        )
-        concurrent_engine, _ = engine_with_sink()
-        concurrent = concurrent_engine.run_many(
-            [session_for(binary, workload, name=f"s{i}") for i in range(3)],
-            jobs=4,
-        )
-        assert len(sequential) == len(concurrent) == 3
-        for a, b in zip(sequential, concurrent):
-            assert reports_equal(a, b)
-
     def test_cross_session_cache_hits(self, binary, workload):
-        """Identical sessions collapse to one backend invocation each.
-
-        Sequential scheduling makes the hit count exact; concurrently
-        two sessions may race to the same key and both miss the cache,
-        in which case the measurement pool's single-flight still
-        collapses them to one backend call.
-        """
+        """Identical sessions collapse to one backend invocation each."""
         engine, sink = engine_with_sink()
         engine.run_many(
-            [session_for(binary, workload, name=f"s{i}") for i in range(2)],
-            jobs=1,
+            [session_for(binary, workload, name=f"s{i}") for i in range(2)]
         )
         invokes = sink.count(EventKind.BACKEND_INVOKE)
         hits = sink.count(EventKind.CACHE_HIT)
@@ -132,7 +110,7 @@ class TestRunMany:
 
     def test_engine_start_finish_events(self, binary, workload):
         engine, sink = engine_with_sink()
-        engine.run_many([session_for(binary, workload)], jobs=1)
+        engine.run_many([session_for(binary, workload)])
         (start,) = sink.of(EventKind.ENGINE_START)
         (finish,) = sink.of(EventKind.ENGINE_FINISH)
         assert start.data["sessions"] == finish.data["sessions"] == 1
@@ -140,7 +118,7 @@ class TestRunMany:
 
     def test_empty_session_list(self):
         engine, _ = engine_with_sink()
-        assert engine.run_many([], jobs=4) == []
+        assert engine.run_many([]) == []
 
 
 class TestMeasurePinned:
@@ -229,7 +207,7 @@ class TestTraceFile:
     def test_writes_parseable_jsonl(self, binary, workload, tmp_path):
         trace = tmp_path / "trace.jsonl"
         engine = ExecutionEngine(GTX680, trace_file=trace)
-        engine.run_many([session_for(binary, workload)], jobs=1)
+        engine.run_many([session_for(binary, workload)])
         engine.telemetry.close()
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         # The engine span brackets the whole run.
@@ -252,23 +230,3 @@ class TestTraceFile:
         engine.telemetry.close()
         assert trace.exists()
 
-
-class TestJobsResolution:
-    def test_explicit_wins(self):
-        assert _resolve_jobs(3) == 3
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("ORION_ENGINE_JOBS", "7")
-        assert _resolve_jobs(None) == 7
-
-    def test_missing_env_means_sequential(self, monkeypatch):
-        monkeypatch.delenv("ORION_ENGINE_JOBS", raising=False)
-        assert _resolve_jobs(None) == 1
-
-    def test_garbage_env_degrades_to_sequential(self, monkeypatch):
-        monkeypatch.setenv("ORION_ENGINE_JOBS", "many")
-        assert _resolve_jobs(None) == 1
-
-    def test_floor_of_one(self):
-        assert _resolve_jobs(0) == 1
-        assert _resolve_jobs(-4) == 1

@@ -85,28 +85,6 @@ class TestRunManyIsolation:
         engine.run_many([TuningSession(binary, workload(13))])
         assert counter.value(error="RuntimeError") == before + 1
 
-    def test_concurrent_batch_isolates_failures_identically(self, binary):
-        sequential_engine, _ = engine_with_sink(backend=PoisonedBackend(13))
-        sequential = sequential_engine.run_many(
-            [
-                TuningSession(binary, workload(g), name=f"g{g}")
-                for g in (64, 13, 32)
-            ],
-            jobs=1,
-        )
-        concurrent_engine, _ = engine_with_sink(backend=PoisonedBackend(13))
-        concurrent = concurrent_engine.run_many(
-            [
-                TuningSession(binary, workload(g), name=f"g{g}")
-                for g in (64, 13, 32)
-            ],
-            jobs=3,
-        )
-        assert [r is None for r in sequential] == [r is None for r in concurrent]
-        for a, b in zip(sequential, concurrent):
-            if a is not None:
-                assert a.total_cycles == b.total_cycles
-
     def test_direct_run_still_raises(self, binary):
         engine, _ = engine_with_sink(backend=PoisonedBackend(13))
         with pytest.raises(RuntimeError, match="poisoned measurement"):

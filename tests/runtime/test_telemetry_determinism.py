@@ -1,10 +1,11 @@
-"""Scheduler-invariance of telemetry: the PR's determinism contract.
+"""Scheduler-invariance of telemetry.
 
 Each session's event subsequence — kinds, payloads, span ids — must be
-identical whatever ``ORION_ENGINE_JOBS`` says, because span ids are
-allocated per session scope and all other event data is a pure function
-of the session's own work.  Concurrency may only change how the
-subsequences interleave into the global stream.
+identical whether the sessions run in turn or from N threads sharing
+one engine (as the tuning daemon's tune workers do), because span ids
+are allocated per session scope and all other event data is a pure
+function of the session's own work.  Concurrency may only change how
+the subsequences interleave into the global stream.
 
 The sessions here run *disjoint* workloads (different grids), so no
 cross-session measurement-cache races can blur hit/miss attribution.
@@ -19,6 +20,7 @@ from repro.runtime import Workload
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import TuningSession
 from repro.sim import LaunchConfig
+from tests.helpers import run_on_threads
 from tests.runtime.test_launcher import pressure_module
 
 
@@ -42,40 +44,31 @@ def sessions_for(binary):
     ]
 
 
-def run_engine(binary, jobs):
+def run_engine(binary, threads):
     sink = InMemorySink()
     engine = ExecutionEngine(
         GTX680, telemetry=TelemetryHub(sink, record_wall=False)
     )
-    reports = engine.run_many(sessions_for(binary), jobs=jobs)
+    reports = run_on_threads(engine, sessions_for(binary), threads)
     return reports, sink.events
 
 
 def per_session_subsequences(events):
-    # The engine-level (session=None) events carry the scheduler width
-    # in their ``jobs`` field — the one datum that *should* differ
-    # between runs; everything else must not.
     scopes = {}
     for event in events:
         scopes.setdefault(event.session, []).append(
             (
                 event.kind.value,
-                tuple(
-                    sorted(
-                        (k, repr(v))
-                        for k, v in event.data.items()
-                        if k != "jobs"
-                    )
-                ),
+                tuple(sorted((k, repr(v)) for k, v in event.data.items())),
             )
         )
     return scopes
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_subsequences_invariant_under_scheduling(binary, jobs):
-    sequential_reports, sequential_events = run_engine(binary, jobs=1)
-    concurrent_reports, concurrent_events = run_engine(binary, jobs=jobs)
+@pytest.mark.parametrize("threads", [2, 4])
+def test_subsequences_invariant_under_scheduling(binary, threads):
+    sequential_reports, sequential_events = run_engine(binary, threads=1)
+    concurrent_reports, concurrent_events = run_engine(binary, threads)
     for a, b in zip(sequential_reports, concurrent_reports):
         assert a.total_cycles == b.total_cycles
         assert a.final_label == b.final_label
@@ -84,22 +77,12 @@ def test_subsequences_invariant_under_scheduling(binary, jobs):
     ) == per_session_subsequences(concurrent_events)
 
 
-def test_env_var_scheduling_is_equally_invariant(binary, monkeypatch):
-    monkeypatch.setenv("ORION_ENGINE_JOBS", "1")
-    _, sequential = run_engine(binary, jobs=None)
-    monkeypatch.setenv("ORION_ENGINE_JOBS", "4")
-    _, concurrent = run_engine(binary, jobs=None)
-    assert per_session_subsequences(sequential) == per_session_subsequences(
-        concurrent
-    )
-
-
 def test_wall_suppression_holds_under_concurrency(binary):
-    _, events = run_engine(binary, jobs=4)
+    _, events = run_engine(binary, threads=4)
     assert all(event.wall is None for event in events)
 
 
 def test_global_stream_is_seq_ordered(binary):
-    _, events = run_engine(binary, jobs=4)
+    _, events = run_engine(binary, threads=4)
     seqs = [event.seq for event in events]
     assert seqs == sorted(seqs)

@@ -17,8 +17,8 @@ import pytest
 
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
-from repro.obs.context import current_hub
 from repro.obs.metrics import get_registry
+from repro.obs.telemetry import EventKind
 from repro.runtime import Workload
 from repro.runtime.engine import ExecutionEngine
 from repro.service import protocol
@@ -67,7 +67,11 @@ class SlowBackend:
 
 
 class DaemonHarness:
-    """A daemon on a background event-loop thread, stopped on exit."""
+    """A daemon on a background event-loop thread, stopped on exit.
+
+    Exiting also closes the engine's telemetry hub, so a trace file the
+    daemon wrote is complete and closed.
+    """
 
     def __init__(self, store, config=None, backend="timing", trace_file=None):
         self.engine = ExecutionEngine(
@@ -102,6 +106,7 @@ class DaemonHarness:
         if self._loop is not None and not self._loop.is_closed():
             self._loop.call_soon_threadsafe(self.daemon.stop)
         self._thread.join(timeout=10)
+        self.engine.telemetry.close()
 
     @property
     def port(self) -> int:
@@ -492,7 +497,8 @@ class TestShutdownDrain:
         closed could start its handler after the drain's sweep; the loop
         then closed with the handler suspended in a store call, holding
         its telemetry hub, and its ``writer.close()`` ran at garbage
-        collection and raised ``Event loop is closed``."""
+        collection and raised ``Event loop is closed``.  Every span the
+        late handler opened must have ended while the loop ran."""
         store = TuningStore(tmp_path / "s.jsonl")
         stats_called = threading.Event()
         stats = store.stats
@@ -527,10 +533,11 @@ class TestShutdownDrain:
                 protocol.send_frame(client_end, protocol.request("stats"))
                 assert harness.client().shutdown()["stopping"] is True
             assert not harness._thread.is_alive()
+            counts = harness.engine.telemetry.counts
+            assert counts[EventKind.SPAN_START] == counts[EventKind.SPAN_END]
             assert stats_called.is_set()
             assert late and late[0].done()
             assert not daemon._conn_tasks
-            assert harness.engine.telemetry is not current_hub()
             client_end.settimeout(5.0)
             assert client_end.recv(1) == b""  # the daemon closed its end
 

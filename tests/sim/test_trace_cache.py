@@ -8,7 +8,6 @@ the traces a sequential run sees.
 
 import os
 import sys
-import threading
 from collections import OrderedDict
 
 from repro.arch import GTX680
@@ -18,6 +17,7 @@ from repro.compiler.pipeline import CompileOptions, compile_binary
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import TuningSession, Workload
 from repro.sim import backend, gpu
+from tests.helpers import run_on_threads
 
 
 def _srad():
@@ -92,23 +92,25 @@ def test_session_traces_each_warp_once(monkeypatch):
 
 
 def test_concurrent_sessions_match_sequential(monkeypatch):
-    """More sessions than cores on versions sharing one module, with
-    the switch interval at its minimum: ``run_many(jobs=N)`` reports
-    must equal ``jobs=1``'s, the trace cache cold before each run."""
+    """More threads than cores on one engine, each running a session on
+    versions sharing one module, with the switch interval at its
+    minimum: the reports must equal a sequential run's, the trace cache
+    cold before each run."""
     binary = _srad()
     # capped so a many-core host does not tune for minutes
     sessions = min(16, max(4, 2 * (os.cpu_count() or 1) + 2))
 
-    def run(jobs: int) -> list:
+    def run(threads: int) -> list:
         monkeypatch.setattr(gpu, "_TRACE_CACHE", OrderedDict())
         engine = ExecutionEngine(GTX680, backend="timing")
         return _rows(
-            engine.run_many(
+            run_on_threads(
+                engine,
                 [
                     TuningSession(binary, _workload(1.0 + 0.25 * i), name=f"s{i}")
                     for i in range(sessions)
                 ],
-                jobs=jobs,
+                threads,
             )
         )
 
@@ -118,13 +120,6 @@ def test_concurrent_sessions_match_sequential(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(2):
-            seen: list = []
-            worker = threading.Thread(
-                target=lambda: seen.append(run(sessions)), daemon=True
-            )
-            worker.start()
-            worker.join(timeout=240)
-            assert not worker.is_alive(), "concurrent sessions hung"
-            assert seen == [expected]
+            assert run(sessions) == expected
     finally:
         sys.setswitchinterval(interval)

@@ -167,7 +167,7 @@ class TestBench:
         trace = tmp_path / "bench.jsonl"
         code = main(
             ["bench", "--only", "gaussian", "--arch", "c2075",
-             "--jobs", "2", "--trace", str(trace)]
+             "--trace", str(trace)]
         )
         assert code == 0
         out = capsys.readouterr().out
