@@ -97,45 +97,27 @@ def test_bench_trace_generation(benchmark):
 
 
 def test_bench_sm_simulation(benchmark):
-    module = BENCHMARKS["srad"].build()
-    launch = LaunchConfig(grid_blocks=8, block_size=256)
-    traces = generate_warp_traces(
-        module, "kernel", launch, 16, max_events_per_warp=800
-    )
-    sim = SMSimulator(GTX680)
-
-    def run():
-        return sim.run(
-            [t for t in traces], warps_per_block=8
-        )
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.cycles > 0
-
-
-# ----------------------------------------------------------------------
-# One microbench per hot seam (simulator wave, matcher solve, engine
-# dispatch), so a future regression localizes to one of them instead of
-# the whole suite.
-# ----------------------------------------------------------------------
-def test_bench_sm_wave_flat_traces(benchmark):
-    """Simulator wave on flat-only traces, the trace cache's form."""
+    """Simulator wave on the trace cache's traces, which equal the
+    uncached tracer's."""
     module = BENCHMARKS["srad"].build()
     launch = LaunchConfig(grid_blocks=8, block_size=256)
     traces = _cached_traces(module, "kernel", launch, 16, None, 800, 128)
-    assert all(t.flat is not None and not t.events for t in traces)
+    assert traces == generate_warp_traces(
+        module, "kernel", launch, 16, max_events_per_warp=800
+    )
     sim = SMSimulator(GTX680)
 
     def run():
         return sim.run(list(traces), warps_per_block=8)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
-    events = generate_warp_traces(
-        module, "kernel", launch, 16, max_events_per_warp=800
-    )
-    assert sim.run(events, warps_per_block=8) == result
+    assert result.cycles > 0
 
 
+# ----------------------------------------------------------------------
+# One microbench per hot seam (here the matcher's solve), so a future
+# regression localizes to it instead of the whole suite.
+# ----------------------------------------------------------------------
 def test_bench_matcher_solve_cfd_largest(benchmark, monkeypatch):
     """The largest matrix of a cfd/GTX680 compile: the zero-cost search."""
     seen = []

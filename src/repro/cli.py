@@ -557,7 +557,7 @@ def _cmd_trace_merged(args: argparse.Namespace) -> int:
             _json.dumps(event, sort_keys=True) + "\n" for event in merged
         )
     else:
-        text = _json.dumps(tracefile.merged_to_chrome(merged), sort_keys=True)
+        text = _json.dumps(tracefile.to_chrome(merged), sort_keys=True)
         text += "\n"
     summary = (
         f"{len(merged)} event(s) from {len(traces)} node(s), "
@@ -627,11 +627,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             replicas=args.replicas,
         )
     store = TuningStore(args.store, max_entries=args.max_entries)
+    # The daemon is the store's only client: its engine gets no store.
     engine = ExecutionEngine(
-        ARCHS[args.arch],
-        backend=args.backend,
-        trace_file=args.trace,
-        tuning_store=store,
+        ARCHS[args.arch], backend=args.backend, trace_file=args.trace
     )
     daemon = TuningDaemon(
         engine,

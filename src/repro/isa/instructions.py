@@ -183,7 +183,7 @@ class Instruction:
     # purely on ``opcode`` — never on operands — so they cannot go
     # stale under operand mutation by the allocator.
     _exec_plan = None  # repro.sim.interp dispatch plan
-    _trace_event = None  # repro.sim.trace (TraceEvent, flat code) pair
+    _trace_event = None  # repro.sim.trace flat unit code
 
     # ------------------------------------------------------------------
     # Structural queries

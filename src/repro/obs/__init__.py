@@ -72,7 +72,6 @@ from repro.obs.tracefile import (
     diff_traces,
     filter_trace,
     merge_traces,
-    merged_to_chrome,
     parse_trace_text,
     read_trace,
     slow_traces,
@@ -106,7 +105,6 @@ __all__ = [
     "get_registry",
     "load_report",
     "merge_traces",
-    "merged_to_chrome",
     "new_trace_id",
     "parse_trace_text",
     "read_trace",

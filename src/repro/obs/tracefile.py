@@ -183,38 +183,61 @@ def diff_traces(
 def to_chrome(events: list[dict]) -> dict:
     """Chrome ``trace_event`` JSON (loads in Perfetto / chrome://tracing).
 
-    Sessions map to threads of one process; span pairs become ``B``/``E``
-    duration events and every other kind an instant event.  Timestamps
-    are the deterministic sequence numbers (microseconds), so the
-    visual ordering matches the trace exactly even when wall-clock
-    durations were suppressed; real durations, when present, ride in
+    Sessions map to threads; span pairs become ``B``/``E`` duration
+    events and every other kind an instant event.  Events of one trace
+    file share one process.  Events carrying a ``node`` (a
+    :func:`merge_traces` result) get one named process per node, with
+    sessions as threads within their node, so Perfetto shows the full
+    client → owner → replica fan-out as parallel process tracks.
+    Timestamps are the merge's normalized ``ts`` where present, else
+    the deterministic sequence numbers (microseconds), so the visual
+    ordering matches the trace exactly even when wall-clock durations
+    were suppressed; real durations, when present, ride in
     ``args.wall``.
     """
     trace_events: list[dict] = []
-    tids: dict[str, int] = {}
+    pids: dict[str, int] = {}
+    tids: dict[tuple[str | None, str], int] = {}
 
-    def tid_for(session: str | None) -> int:
-        key = session if session is not None else "<engine>"
+    def pid_for(node: str | None) -> int:
+        if node is None:
+            return 1
+        if node not in pids:
+            pids[node] = len(pids) + 1
+            trace_events.append(
+                {
+                    "ph": "M",
+                    "name": "process_name",
+                    "pid": pids[node],
+                    "tid": 0,
+                    "args": {"name": node},
+                }
+            )
+        return pids[node]
+
+    def tid_for(node: str | None, session: str | None) -> int:
+        key = (node, session if session is not None else "<engine>")
         if key not in tids:
-            tids[key] = len(tids) + 1
+            tids[key] = sum(1 for k in tids if k[0] == node) + 1
             trace_events.append(
                 {
                     "ph": "M",
                     "name": "thread_name",
-                    "pid": 1,
+                    "pid": pid_for(node),
                     "tid": tids[key],
-                    "args": {"name": key},
+                    "args": {"name": key[1]},
                 }
             )
         return tids[key]
 
     for event in events:
+        node = event.get("node")
         kind = event["kind"]
         data = dict(event.get("data", {}))
         base = {
-            "pid": 1,
-            "tid": tid_for(event.get("session")),
-            "ts": event["seq"],
+            "pid": pid_for(node),
+            "tid": tid_for(node, event.get("session")),
+            "ts": event.get("ts", event["seq"]),
         }
         if event.get("wall") is not None:
             data["wall"] = event["wall"]
@@ -336,97 +359,6 @@ def merge_traces(traces: dict[str, list[dict]]) -> list[dict]:
             merged.append(out)
     merged.sort(key=lambda e: (e["ts"], e["node"], e["seq"]))
     return merged
-
-
-def merged_to_chrome(events: list[dict]) -> dict:
-    """Chrome ``trace_event`` JSON of a merged cross-node trace.
-
-    Each node becomes its own *process* (named via ``process_name``
-    metadata), sessions stay threads within their node, and timestamps
-    are the merge's normalized ``ts`` — so Perfetto shows the full
-    client → owner → replica fan-out as parallel process tracks in
-    causal order.
-    """
-    trace_events: list[dict] = []
-    pids: dict[str, int] = {}
-    tids: dict[tuple[str, str], int] = {}
-
-    def pid_for(node: str) -> int:
-        if node not in pids:
-            pids[node] = len(pids) + 1
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pids[node],
-                    "tid": 0,
-                    "args": {"name": node},
-                }
-            )
-        return pids[node]
-
-    def tid_for(node: str, session: str | None) -> int:
-        key = (node, session if session is not None else "<engine>")
-        if key not in tids:
-            tids[key] = len([k for k in tids if k[0] == node]) + 1
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid_for(node),
-                    "tid": tids[key],
-                    "args": {"name": key[1]},
-                }
-            )
-        return tids[key]
-
-    for event in events:
-        node = event.get("node", "<node>")
-        kind = event["kind"]
-        data = dict(event.get("data", {}))
-        base = {
-            "pid": pid_for(node),
-            "tid": tid_for(node, event.get("session")),
-            "ts": event.get("ts", event["seq"]),
-        }
-        if event.get("wall") is not None:
-            data["wall"] = event["wall"]
-        if kind == "span_start":
-            trace_events.append(
-                {
-                    **base,
-                    "ph": "B",
-                    "cat": "span",
-                    "name": data.pop("name", "span"),
-                    "args": data,
-                }
-            )
-        elif kind == "span_end":
-            trace_events.append(
-                {
-                    **base,
-                    "ph": "E",
-                    "cat": "span",
-                    "name": data.pop("name", "span"),
-                    "args": data,
-                }
-            )
-        else:
-            trace_events.append(
-                {
-                    **base,
-                    "ph": "i",
-                    "s": "t",
-                    "cat": "event",
-                    "name": kind,
-                    "args": data,
-                }
-            )
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {"trace_schema_version": TRACE_SCHEMA_VERSION},
-    }
 
 
 def slow_traces(events: list[dict], top: int = 10) -> list[dict]:

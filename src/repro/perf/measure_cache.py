@@ -38,7 +38,6 @@ def measurement_cache_key(
     traits: object,
     ilp: float,
     max_events_per_warp: int,
-    global_memory: dict | None = None,
     forced_warps: int | None = None,
     strategy: str = "local-spill",
     arch_fingerprint: str = "",
@@ -66,7 +65,6 @@ def measurement_cache_key(
             repr(traits),
             repr(ilp),
             str(max_events_per_warp),
-            repr(sorted(global_memory.items())) if global_memory else "-",
             str(forced_warps),
             strategy,
             arch_fingerprint,

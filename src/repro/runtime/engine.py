@@ -150,7 +150,6 @@ class ExecutionEngine:
             workload.traits,
             workload.ilp,
             workload.max_events_per_warp,
-            global_memory=workload.global_memory,
             forced_warps=forced_warps,
             strategy=version.strategy,
             arch_fingerprint=self.arch.fingerprint(),
@@ -188,7 +187,6 @@ class ExecutionEngine:
             traits=workload.traits,
             ilp=workload.ilp,
             max_events_per_warp=workload.max_events_per_warp,
-            global_memory=workload.global_memory,
             forced_warps=forced_warps,
         )
         try:

@@ -17,7 +17,7 @@ from repro.compiler.multiversion import MultiVersionBinary
 from repro.compiler.realize import KernelVersion
 from repro.runtime.adaptation import DynamicTuner
 from repro.runtime.splitting import pieces_for_tuning, split_launch, splittable
-from repro.sim.interp import LaunchConfig, Value
+from repro.sim.interp import LaunchConfig
 from repro.sim.trace import MemoryTraits
 
 
@@ -28,7 +28,6 @@ class Workload:
     launch: LaunchConfig
     iterations: int = 1
     traits: MemoryTraits = field(default_factory=MemoryTraits)
-    global_memory: dict[int, Value] | None = None
     ilp: float = 1.0
     max_events_per_warp: int = 6000
     #: Per-iteration relative work (e.g. bfs frontier sizes).  When set,

@@ -7,7 +7,8 @@ workload description; the daemon answers from the persistent
 winner (a *warm hit* — zero measurement-backend invocations) and
 otherwise drives one :class:`~repro.runtime.session.TuningSession`
 through its :class:`~repro.runtime.engine.ExecutionEngine` on one of
-its tune workers and publishes the converged result back to the store.
+its tune workers and puts the session's record in the store.  The
+daemon is its store's only client: its engine runs without a store.
 
 A tune request's binary is parsed only as far as its container
 (:func:`decode_binary`): the store key, the ring owner and forwarding
@@ -717,9 +718,14 @@ class TuningDaemon:
     def _tune_sync(
         self, key: str, binary: MultiVersionBinary, workload: Workload
     ) -> TuningRecord:
-        """One cold tune on a worker thread: run, publish, return."""
-        session = TuningSession(binary, workload)
-        report = self.engine.run(session)
+        """One cold tune on a worker thread: run the session, put its
+        record, return it.
+
+        The daemon is its store's only client: its engine runs without
+        a tuning store, so the request's own ``store.get`` is the one
+        lookup a cold tune makes and this ``put`` its one write.
+        """
+        report = self.engine.run(TuningSession(binary, workload))
         record = record_from_report(
             key,
             kernel_fingerprint(binary),
@@ -728,12 +734,7 @@ class TuningDaemon:
             self.engine.arch.name,
             self.engine.backend.name,
         )
-        # When this store is attached to the engine, engine.run already
-        # published the converged winner under this same key; writing it
-        # again would double the log growth.  Only write what the engine
-        # skipped (detached store, or a session that never converged).
-        if self.store.peek(key) is None:
-            self.store.put(record)
+        self.store.put(record)
         return record
 
     # ------------------------------------------------------------------

@@ -25,10 +25,8 @@ from repro.sim.memory import MemoryStats, SetAssociativeCache
 from repro.sim.sm import SMResult, SMSimulator
 from repro.sim.trace import (
     MemoryTraits,
-    TraceEvent,
     WarpTrace,
     generate_warp_traces,
-    trace_summary,
     warp_lines,
 )
 
@@ -57,13 +55,11 @@ __all__ = [
     "SetAssociativeCache",
     "SMResult",
     "SMSimulator",
-    "TraceEvent",
     "WarpTrace",
     "generate_warp_traces",
     "gpu_power",
     "kernel_energy",
     "run_kernel",
     "simulate_kernel",
-    "trace_summary",
     "warp_lines",
 ]

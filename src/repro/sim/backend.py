@@ -35,11 +35,10 @@ from typing import Protocol, runtime_checkable
 
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.compiler.realize import KernelVersion
-from repro.regalloc.strategy import get_strategy
 from repro.sim.analytical import estimate_cycles, profile_kernel
 from repro.sim.energy import gpu_power
-from repro.sim.gpu import LaunchError, simulate_kernel
-from repro.sim.interp import LaunchConfig, Value, run_kernel
+from repro.sim.gpu import residency, simulate_kernel
+from repro.sim.interp import LaunchConfig, run_kernel
 from repro.sim.trace import MemoryTraits
 
 
@@ -54,7 +53,6 @@ class MeasurementRequest:
     traits: MemoryTraits = field(default_factory=MemoryTraits)
     ilp: float = 1.0
     max_events_per_warp: int = 6000
-    global_memory: dict[int, Value] | None = None
     #: pin the resident-warp count (occupancy sweeps); backends that
     #: have no notion of residency ignore it
     forced_warps: int | None = None
@@ -128,33 +126,6 @@ def _record_invocation(name: str, result: MeasurementResult) -> None:
     ).inc(result.cycles, backend=name)
 
 
-def _resident_warps(request: MeasurementRequest) -> tuple[int, int, int]:
-    """(resident, warps_per_block, total_warps) as the GPU model sees it."""
-    arch = request.arch
-    version = request.version
-    launch = request.launch
-    occ = get_strategy(version.strategy).occupancy(
-        arch,
-        launch.block_size,
-        version.regs_per_thread,
-        version.smem_per_block,
-        request.cache_config,
-    )
-    if not occ.is_launchable:
-        raise LaunchError(
-            f"kernel {version.kernel_name} with {version.regs_per_thread} "
-            f"regs and {version.smem_per_block}B shared does not launch "
-            f"on {arch.name}"
-        )
-    warps_per_block = (launch.block_size + arch.warp_size - 1) // arch.warp_size
-    total_warps = launch.grid_blocks * warps_per_block
-    resident = (
-        occ.active_warps if request.forced_warps is None else request.forced_warps
-    )
-    resident = max(warps_per_block, min(resident, total_warps))
-    return resident, warps_per_block, total_warps
-
-
 class TimingBackend:
     """The event-driven SM simulator — the reference substrate."""
 
@@ -173,7 +144,6 @@ class TimingBackend:
             traits=request.traits,
             ilp=request.ilp,
             max_events_per_warp=request.max_events_per_warp,
-            global_memory=request.global_memory,
             forced_warps=request.forced_warps,
             strategy=version.strategy,
         )
@@ -200,7 +170,16 @@ class AnalyticalBackend:
 
     def measure(self, request: MeasurementRequest) -> MeasurementResult:
         version = request.version
-        resident, _, total_warps = _resident_warps(request)
+        occ, _, total_warps, resident = residency(
+            request.arch,
+            version.kernel_name,
+            request.launch,
+            version.regs_per_thread,
+            version.smem_per_block,
+            request.cache_config,
+            request.forced_warps,
+            version.strategy,
+        )
         profile = profile_kernel(
             version.module, version.kernel_name, traits=request.traits
         )
@@ -208,13 +187,6 @@ class AnalyticalBackend:
             profile, request.arch, resident, total_warps, ilp=request.ilp
         )
         cycles = max(1, round(estimate.estimated_cycles))
-        occ = get_strategy(version.strategy).occupancy(
-            request.arch,
-            request.launch.block_size,
-            version.regs_per_thread,
-            version.smem_per_block,
-            request.cache_config,
-        )
         result = MeasurementResult(
             backend=self.name,
             cycles=cycles,
@@ -246,12 +218,7 @@ class FunctionalBackend:
     def measure(self, request: MeasurementRequest) -> MeasurementResult:
         version = request.version
         memory = run_kernel(
-            version.module,
-            request.launch,
-            kernel_name=version.kernel_name,
-            global_memory=(
-                dict(request.global_memory) if request.global_memory else None
-            ),
+            version.module, request.launch, kernel_name=version.kernel_name
         )
         checksum = 0
         for address, value in memory.items():

@@ -1,11 +1,11 @@
 """The SM timing simulator's event loop (the body of ``SMSimulator.run``).
 
-Each warp's trace is read as flat arrays (unit codes, line counts,
-space codes, touched lines): the simulator's trace cache records them
-directly, and an event trace is encoded once (:func:`_flatten_trace`).
-Per trace and cache geometry, every line's tag and L1/L2 set index are
-hashed up front and issue costs tabled, so the loop is list indexing
-plus heap scheduling, with memory modelled inline:
+Each warp's trace is read as the four flat arrays the tracer records
+(:class:`repro.sim.trace.WarpTrace`: unit codes, line counts, space
+codes, touched lines).  Per trace and cache geometry, every line's tag
+and L1/L2 set index are hashed up front and issue costs tabled, so the
+loop is list indexing plus heap scheduling, with memory modelled
+inline:
 
 * an MSHR window of ``max_outstanding_memory`` requests (a request
   past it waits for the earliest completion);
@@ -24,10 +24,8 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from heapq import heapify, heappop, heappush
 
-from repro.isa.instructions import FuncUnit, MemSpace
 from repro.sim.memory import MemoryStats, SetAssociativeCache
 from repro.sim.trace import (
-    FLAT_ALU as _ALU,
     FLAT_BARRIER as _BARRIER,
     FLAT_CTRL as _CTRL,
     FLAT_MEM as _MEM,
@@ -35,65 +33,17 @@ from repro.sim.trace import (
     FLAT_SMEM as _SMEM,
     FLAT_SP_GLOBAL as _SP_GLOBAL,
     FLAT_SP_LOCAL as _SP_LOCAL,
-    FLAT_SP_OTHER as _SP_OTHER,
     FLAT_SP_SHARED as _SP_SHARED,
     WarpTrace,
 )
 
-# Unit codes (the flat encoding of the ``FuncUnit`` ladder) and space
-# codes (what decides L1 participation) are shared with trace.py, whose
-# cached tracing path emits the same arrays directly:
-#   _ALU/_MEM/_SMEM/_SFU/_CTRL/_BARRIER;
+# Unit codes (the flat encoding of the ``FuncUnit`` ladder; every code
+# not named below issues as ALU work) and space codes (what decides L1
+# participation) are defined in trace.py, whose tracer emits the arrays:
+#   _MEM/_SMEM/_SFU/_CTRL/_BARRIER;
 #   _SP_GLOBAL (L1 only when arch.l1_caches_global), _SP_LOCAL (spill
-#   traffic: always L1), _SP_OTHER (straight to L2), _SP_SHARED (shared
-#   space routed through a MEM event: fixed latency).
-
-
-def _flatten_trace(trace: WarpTrace):
-    """(codes, counts, spaces, lines) arrays for one warp trace.
-
-    A trace from the simulator's trace cache carries them already; an
-    event trace is encoded once and keeps the result in ``trace.flat``.
-    """
-    if trace.flat is not None:
-        return trace.flat
-    codes: list[int] = []
-    counts: list[int] = []
-    spaces: list[int] = []
-    lines: list[int] = []
-    for event in trace.events:
-        if event.barrier:
-            codes.append(_BARRIER)
-            counts.append(0)
-            spaces.append(_SP_OTHER)
-            continue
-        unit = event.unit
-        if unit is FuncUnit.MEM:
-            codes.append(_MEM)
-            counts.append(len(event.lines))
-            lines.extend(event.lines)
-            space = event.space
-            if space is MemSpace.LOCAL:
-                spaces.append(_SP_LOCAL)
-            elif space in (MemSpace.GLOBAL, MemSpace.PARAM):
-                spaces.append(_SP_GLOBAL)
-            elif space is MemSpace.SHARED:
-                spaces.append(_SP_SHARED)
-            else:
-                spaces.append(_SP_OTHER)
-        else:
-            if unit is FuncUnit.SMEM:
-                codes.append(_SMEM)
-            elif unit is FuncUnit.SFU:
-                codes.append(_SFU)
-            elif unit is FuncUnit.CTRL:
-                codes.append(_CTRL)
-            else:  # ALU and every other unit issue as ALU work
-                codes.append(_ALU)
-            counts.append(0)
-            spaces.append(_SP_OTHER)
-    trace.flat = (codes, counts, spaces, lines)
-    return trace.flat
+#   traffic: always L1), _SP_SHARED (shared space routed through a MEM
+#   occurrence: fixed latency), anything else straight to L2.
 
 
 def _line_tables(trace: WarpTrace, lines: list[int], line_bytes: int,
@@ -166,7 +116,7 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
     for i in range(nwarps):
         blocks.setdefault(block_of[i], []).append(i)
 
-    # Per-warp flattened event streams and precomputed line tables.
+    # Per-warp flat arrays and precomputed line tables.
     w_codes: list[list[int]] = []
     w_counts: list[list[int]] = []
     w_spaces: list[list[int]] = []
@@ -177,7 +127,7 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
     nev: list[int] = []
     cost_key = (issue_interval, sfu_cost, alu_cost)
     for trace in traces:
-        codes, counts, spaces, lines = _flatten_trace(trace)
+        codes, counts, spaces, lines = trace.flat
         tags, l1i, l2i = _line_tables(
             trace, lines, line_bytes, l1.num_sets, l2.num_sets
         )

@@ -23,14 +23,9 @@ from repro.arch.occupancy import OccupancyResult
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.ir.function import Module
 from repro.regalloc.strategy import AllocationStrategy, get_strategy
-from repro.sim.interp import Interpreter, LaunchConfig, Value
+from repro.sim.interp import Interpreter, LaunchConfig
 from repro.sim.sm import SMResult, SMSimulator
-from repro.sim.trace import (
-    MemoryTraits,
-    WarpTrace,
-    _trace_warp,
-    generate_warp_traces,
-)
+from repro.sim.trace import MemoryTraits, WarpTrace, _trace_warp
 
 
 class LaunchError(RuntimeError):
@@ -97,9 +92,7 @@ def _cached_traces(
                         warps_per_block,
                         traits,
                         max_events_per_warp,
-                        None,
                         line_bytes,
-                        collect_flat=True,
                     )
                 )
         return traces[:resident]
@@ -127,33 +120,24 @@ class KernelTiming:
         return self.occupancy.occupancy
 
 
-def simulate_kernel(
+def residency(
     arch: GpuArchitecture,
-    module: Module,
     kernel_name: str,
     launch: LaunchConfig,
     regs_per_thread: int,
-    smem_per_block: int = 0,
-    cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    traits: MemoryTraits | None = None,
-    ilp: float = 1.0,
-    max_events_per_warp: int = 6000,
-    global_memory: dict[int, Value] | None = None,
-    forced_warps: int | None = None,
-    strategy: str | AllocationStrategy | None = None,
-) -> KernelTiming:
-    """Simulate one kernel launch and return its timing.
+    smem_per_block: int,
+    cache_config: CacheConfig,
+    forced_warps: int | None,
+    strategy: str | AllocationStrategy | None,
+) -> tuple[OccupancyResult, int, int, int]:
+    """``(occupancy, warps_per_block, total_warps, resident)`` of a launch.
 
-    ``forced_warps`` overrides the calculated resident-warp count (used
-    by sweeps that pin occupancy directly); it is still capped by the
-    launch size.  ``strategy`` (an allocation-strategy id; ``None`` =
-    the reference ``local-spill``) controls the occupancy arithmetic
-    and, for soft-limit strategies, adds the oversubscription swap cost
-    to the SM model.  Without ``global_memory`` the warp traces come
-    from the per-module trace cache; with it they are traced afresh.
+    ``resident`` is the occupancy calculator's active-warp count, or
+    ``forced_warps`` when given, kept between one block and the whole
+    launch.  Raises :class:`LaunchError` when the configuration does
+    not launch on ``arch``.
     """
-    strat = get_strategy(strategy)
-    occ = strat.occupancy(
+    occ = get_strategy(strategy).occupancy(
         arch, launch.block_size, regs_per_thread, smem_per_block, cache_config
     )
     if not occ.is_launchable:
@@ -165,28 +149,53 @@ def simulate_kernel(
     total_warps = launch.grid_blocks * warps_per_block
     resident = occ.active_warps if forced_warps is None else forced_warps
     resident = max(warps_per_block, min(resident, total_warps))
+    return occ, warps_per_block, total_warps, resident
 
-    if global_memory is None:
-        traces = _cached_traces(
-            module,
-            kernel_name,
-            launch,
-            resident,
-            traits,
-            max_events_per_warp,
-            arch.cache_line_bytes,
-        )
-    else:
-        traces = generate_warp_traces(
-            module,
-            kernel_name,
-            launch,
-            resident,
-            traits=traits,
-            max_events_per_warp=max_events_per_warp,
-            global_memory=global_memory,
-            line_bytes=arch.cache_line_bytes,
-        )
+
+def simulate_kernel(
+    arch: GpuArchitecture,
+    module: Module,
+    kernel_name: str,
+    launch: LaunchConfig,
+    regs_per_thread: int,
+    smem_per_block: int = 0,
+    cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
+    traits: MemoryTraits | None = None,
+    ilp: float = 1.0,
+    max_events_per_warp: int = 6000,
+    forced_warps: int | None = None,
+    strategy: str | AllocationStrategy | None = None,
+) -> KernelTiming:
+    """Simulate one kernel launch and return its timing.
+
+    ``forced_warps`` overrides the calculated resident-warp count (used
+    by sweeps that pin occupancy directly); it is still capped by the
+    launch size.  ``strategy`` (an allocation-strategy id; ``None`` =
+    the reference ``local-spill``) controls the occupancy arithmetic
+    and, for soft-limit strategies, adds the oversubscription swap cost
+    to the SM model.  The warp traces come from the per-module trace
+    cache (:func:`_cached_traces`).
+    """
+    strat = get_strategy(strategy)
+    occ, warps_per_block, _, resident = residency(
+        arch,
+        kernel_name,
+        launch,
+        regs_per_thread,
+        smem_per_block,
+        cache_config,
+        forced_warps,
+        strat,
+    )
+    traces = _cached_traces(
+        module,
+        kernel_name,
+        launch,
+        resident,
+        traits,
+        max_events_per_warp,
+        arch.cache_line_bytes,
+    )
     swap_interval, swap_latency = strat.swap_model(
         arch, launch.block_size, regs_per_thread, smem_per_block, cache_config
     )

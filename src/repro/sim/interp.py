@@ -251,20 +251,6 @@ class Interpreter:
             raise InterpError("cannot interpret SSA form; destruct first")
 
     # ------------------------------------------------------------------
-    def _execute_simple(
-        self,
-        inst: Instruction,
-        state: _ThreadState,
-        launch: LaunchConfig,
-        memory: dict[int, Value],
-        shared: dict[int, Value],
-    ) -> None:
-        handler = _DISPATCH.get(inst.opcode)
-        if handler is None:
-            raise InterpError(f"unimplemented opcode {inst.opcode}")
-        handler(self, inst, state, launch, memory, shared)
-
-    # ------------------------------------------------------------------
     def _memory_op(
         self,
         inst: Instruction,

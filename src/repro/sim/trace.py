@@ -3,11 +3,13 @@
 The timing simulator consumes traces, not IR: for each resident warp we
 execute one *representative lane* (lane 0) through the real kernel
 binary with the functional interpreter and record every instruction —
-opcode class, memory space, and the set of cache lines the full warp
-would touch.  The other 31 lanes' addresses are derived from the
-representative address via the benchmark's *lane stride* (4 bytes =
-perfectly coalesced, one or two 128B transactions; 128+ bytes = one
-transaction per lane, the paper's irregular-access pathology).
+its unit code, its memory-space code, and the cache lines the full warp
+would touch — straight into the flat arrays the SM loop
+(:mod:`repro.sim.flat`) reads.  The other 31 lanes' addresses are
+derived from the representative address via the benchmark's *lane
+stride* (4 bytes = perfectly coalesced, one or two 128B transactions;
+128+ bytes = one transaction per lane, the paper's irregular-access
+pathology).
 
 Because the traces come from the actual allocated binaries, every
 occupancy version carries its true costs: spill reloads appear as local
@@ -51,53 +53,31 @@ class MemoryTraits:
         return 4
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One warp-level instruction occurrence."""
-
-    unit: FuncUnit
-    space: MemSpace | None = None
-    #: distinct cache-line base addresses this warp instruction touches
-    lines: tuple[int, ...] = ()
-    barrier: bool = False
-
-
 @dataclass
 class WarpTrace:
-    """One warp's instruction stream, in one of two forms.
+    """One warp's instruction stream as the SM loop reads it.
 
-    ``events`` is the readable form :func:`generate_warp_traces`
-    records.  ``flat`` is the form the SM loop reads: four parallel
-    lists (unit codes, line counts and space codes per instruction,
-    then every touched line in order).  The simulator's trace cache
-    records only ``flat``; :mod:`repro.sim.flat` derives it from
-    ``events`` for any other trace.
+    ``flat`` holds four parallel lists: per executed instruction its
+    unit code (``FLAT_ALU`` … ``FLAT_BARRIER``), how many cache lines
+    it touches and its space code (``FLAT_SP_*``), then every touched
+    line in order.  ``truncated`` marks a trace cut at the event limit.
     """
 
-    events: list[TraceEvent] = field(default_factory=list)
-    truncated: bool = False
-    flat: tuple[list[int], list[int], list[int], list[int]] | None = field(
-        default=None, repr=False, compare=False
+    flat: tuple[list[int], list[int], list[int], list[int]] = field(
+        default_factory=lambda: ([], [], [], []), repr=False
     )
+    truncated: bool = False
 
     def __len__(self) -> int:
-        if self.flat is not None:
-            return len(self.flat[0])
-        return len(self.events)
+        return len(self.flat[0])
 
 
 class _TraceLimit(Exception):
     pass
 
 
-#: Every shared-memory access has this event; TraceEvent is frozen and
-#: compared by value, so sharing the instance is invisible to callers.
-_SMEM_EVENT = TraceEvent(unit=FuncUnit.SMEM, space=MemSpace.SHARED)
-
 # Flat-encoding codes shared with :mod:`repro.sim.flat` (defined here
-# so the import direction stays trace -> flat acyclic).  The cached
-# tracing path emits these arrays instead of the event stream;
-# ``repro.sim.flat._flatten_trace`` encodes an event stream the same way.
+# so the import direction stays trace -> flat acyclic).
 FLAT_ALU, FLAT_MEM, FLAT_SMEM, FLAT_SFU, FLAT_CTRL, FLAT_BARRIER = range(6)
 FLAT_SP_GLOBAL, FLAT_SP_LOCAL, FLAT_SP_OTHER, FLAT_SP_SHARED = range(4)
 
@@ -148,16 +128,18 @@ def generate_warp_traces(
     resident_warps: int,
     traits: MemoryTraits | None = None,
     max_events_per_warp: int = 6000,
-    global_memory: dict[int, Value] | None = None,
     line_bytes: int = 128,
 ) -> list[WarpTrace]:
-    """Trace ``resident_warps`` warps of a kernel launch.
+    """Trace ``resident_warps`` warps of a kernel launch, uncached.
 
     Warp *w* is represented by global thread ``w * 32``; its block index
     and in-block thread id follow from the launch geometry.  Barriers
-    are recorded as events (the SM simulator enforces the rendezvous);
-    cross-thread shared-memory values read as zero, which leaves control
-    flow intact for the workloads in :mod:`repro.bench`.
+    are recorded as instructions (the SM simulator enforces the
+    rendezvous); global memory starts empty and cross-thread
+    shared-memory values read as zero, which leaves control flow intact
+    for the workloads in :mod:`repro.bench`.  The simulator's trace
+    cache (:func:`repro.sim.gpu._cached_traces`) traces warps the same
+    way.
     """
     traits = traits or MemoryTraits()
     kernel = module.functions[kernel_name]
@@ -172,7 +154,6 @@ def generate_warp_traces(
             warps_per_block,
             traits,
             max_events_per_warp,
-            global_memory,
             line_bytes,
         )
         for w in range(resident_warps)
@@ -187,17 +168,13 @@ def _trace_warp(
     warps_per_block: int,
     traits: MemoryTraits,
     max_events_per_warp: int,
-    global_memory: dict[int, Value] | None,
     line_bytes: int,
-    collect_flat: bool = False,
 ) -> WarpTrace:
     """Trace one warp; warp *w*'s trace is independent of how many other
     warps are resident, which is what makes per-warp caching sound.
 
-    ``collect_flat`` records only :attr:`WarpTrace.flat`, the arrays
-    the SM loop reads (the simulator's trace cache); otherwise the
-    trace holds the readable event stream.  ``interp`` is driven for
-    the whole warp, so one interpreter must not trace two warps at once.
+    ``interp`` is driven for the whole warp, so one interpreter must
+    not trace two warps at once.
     """
     block_index = w // warps_per_block
     tid = (w % warps_per_block) * 32
@@ -220,23 +197,12 @@ def _trace_warp(
     # access to slot ``s`` is one (warp-private) cache line at
     # slot-major, warp-minor layout, ``(s // 4) * 8192 + local_base``.
     local_base = w * line_bytes
-    if collect_flat:
-        trace.flat = ([], [], [], [])
-        observe = _flat_observer(
-            trace.flat, warp_traits, local_base, line_bytes,
-            max_events_per_warp,
-        )
-    else:
-        observe = _event_observer(
-            trace.events, warp_traits, local_base, line_bytes,
-            max_events_per_warp,
-        )
-
-    interp.observer = observe
+    interp.observer = _flat_observer(
+        trace.flat, warp_traits, local_base, line_bytes, max_events_per_warp
+    )
     state = _ThreadState(tid, block_index)
-    memory = dict(global_memory or {})
     shared: dict[int, Value] = {}
-    gen = interp._run_function(kernel, state, launch, memory, shared, [])
+    gen = interp._run_function(kernel, state, launch, {}, shared, [])
     try:
         for _ in gen:
             pass  # barriers already recorded by the observer
@@ -247,53 +213,20 @@ def _trace_warp(
     return trace
 
 
-def _plan(inst: Instruction) -> tuple[TraceEvent, int]:
-    """(event, flat code) of a non-memory instruction, then cached on
-    it as ``_trace_event`` (opcode-determined, so it never goes stale)."""
+def _plan(inst: Instruction) -> int:
+    """Flat unit code of a non-memory instruction, then cached on it as
+    ``_trace_event`` (opcode-determined, so it never goes stale)."""
     if inst.opcode is Opcode.BAR:
-        plan = (TraceEvent(unit=FuncUnit.SYNC, barrier=True), FLAT_BARRIER)
+        code = FLAT_BARRIER
     else:
-        unit = inst.func_unit
-        plan = (TraceEvent(unit=unit), _UNIT_CODE.get(unit, FLAT_ALU))
-    inst._trace_event = plan
-    return plan
-
-
-def _event_observer(events, traits, local_base, line_bytes, limit):
-    """Interpreter observer appending one :class:`TraceEvent` per
-    executed instruction to ``events``."""
-
-    def observe(
-        inst: Instruction, state: _ThreadState, address: int | None
-    ) -> None:
-        # ``address is None`` exactly when the instruction is not a
-        # memory op (the interpreter computes addresses only for those).
-        if len(events) >= limit:
-            raise _TraceLimit()
-        if address is None:
-            events.append((inst._trace_event or _plan(inst))[0])
-            return
-        space = inst.space
-        if space is MemSpace.SHARED:
-            events.append(_SMEM_EVENT)
-        elif space is MemSpace.LOCAL:
-            line = (address // 4) * 8192 + local_base
-            events.append(
-                TraceEvent(unit=FuncUnit.MEM, space=space, lines=(line,))
-            )
-        else:
-            lines = warp_lines(address, space, traits, line_bytes=line_bytes)
-            events.append(
-                TraceEvent(unit=FuncUnit.MEM, space=space, lines=lines)
-            )
-
-    return observe
+        code = _UNIT_CODE.get(inst.func_unit, FLAT_ALU)
+    inst._trace_event = code
+    return code
 
 
 def _flat_observer(flat, traits, local_base, line_bytes, limit):
     """Interpreter observer appending each executed instruction to the
-    four ``flat`` lists, encoded as ``repro.sim.flat._flatten_trace``
-    encodes its event."""
+    four ``flat`` lists."""
     codes, counts, spaces, lines = flat
 
     def observe(
@@ -306,14 +239,17 @@ def _flat_observer(flat, traits, local_base, line_bytes, limit):
     ) -> None:
         if len(codes) >= limit:
             raise _TraceLimit()
+        # ``address is None`` exactly when the instruction is not a
+        # memory op (the interpreter computes addresses only for those).
         if address is None:
-            _code((inst._trace_event or _plan(inst))[1])
+            code = inst._trace_event
+            _code(_plan(inst) if code is None else code)
             _count(0)
             _space(FLAT_SP_OTHER)
             return
         space = inst.space
         if space is MemSpace.SHARED:
-            # SMEM-unit events flatten as non-memory occurrences.
+            # Shared accesses issue as SMEM-unit, non-memory occurrences.
             _code(FLAT_SMEM)
             _count(0)
             _space(FLAT_SP_OTHER)
@@ -334,15 +270,3 @@ def _flat_observer(flat, traits, local_base, line_bytes, limit):
             lines.extend(touched)
 
     return observe
-
-
-def trace_summary(traces: list[WarpTrace]) -> dict[str, int]:
-    """Instruction-mix counters of event traces (tests and reports)."""
-    counts = {unit.value: 0 for unit in FuncUnit}
-    transactions = 0
-    for trace in traces:
-        for event in trace.events:
-            counts[event.unit.value] += 1
-            transactions += len(event.lines)
-    counts["transactions"] = transactions
-    return counts

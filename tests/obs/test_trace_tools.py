@@ -11,7 +11,6 @@ from repro.obs.tracefile import (
     diff_traces,
     filter_trace,
     merge_traces,
-    merged_to_chrome,
     parse_trace_text,
     read_trace,
     slow_traces,
@@ -136,6 +135,8 @@ class TestChromeExport:
     def test_sessions_become_named_threads(self, trace_path):
         doc = to_chrome(read_trace(trace_path))
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
+        # One trace file is one process: no event carries a node.
+        assert all(e["name"] == "thread_name" for e in meta)
         names = {e["args"]["name"] for e in meta}
         assert {"bfs", "nn", "<engine>"} <= names
         # All events of one session share that session's tid.
@@ -273,7 +274,7 @@ class TestMergeTraces:
 
 class TestMergedChrome:
     def test_each_node_becomes_a_process(self):
-        doc = merged_to_chrome(merge_traces(two_node_traces()))
+        doc = to_chrome(merge_traces(two_node_traces()))
         procs = {
             e["args"]["name"]: e["pid"]
             for e in doc["traceEvents"]
@@ -284,12 +285,12 @@ class TestMergedChrome:
 
     def test_timestamps_are_merged_not_local(self):
         merged = merge_traces(two_node_traces())
-        doc = merged_to_chrome(merged)
+        doc = to_chrome(merged)
         timed = [e for e in doc["traceEvents"] if e["ph"] != "M"]
         assert [e["ts"] for e in timed] == [e["ts"] for e in merged]
 
     def test_span_pairs_balance_per_process(self):
-        doc = merged_to_chrome(merge_traces(two_node_traces()))
+        doc = to_chrome(merge_traces(two_node_traces()))
         for ph in ("B", "E"):
             assert (
                 len([e for e in doc["traceEvents"] if e["ph"] == ph]) == 2

@@ -19,7 +19,6 @@ def key_with(**overrides):
         traits=MemoryTraits(),
         ilp=1.0,
         max_events_per_warp=6000,
-        global_memory=None,
         forced_warps=None,
     )
     base.update(overrides)
@@ -44,7 +43,6 @@ class TestKeySensitivity:
             {"traits": MemoryTraits(global_lane_stride=128)},
             {"ilp": 2.0},
             {"max_events_per_warp": 3000},
-            {"global_memory": {0: 1}},
             {"forced_warps": 16},
         ],
         ids=lambda o: next(iter(o)),

@@ -75,8 +75,7 @@ class DaemonHarness:
 
     def __init__(self, store, config=None, backend="timing", trace_file=None):
         self.engine = ExecutionEngine(
-            GTX680, backend=backend, tuning_store=store,
-            trace_file=trace_file,
+            GTX680, backend=backend, trace_file=trace_file
         )
         self.daemon = TuningDaemon(self.engine, store, config)
         self._thread: threading.Thread | None = None
@@ -145,13 +144,24 @@ class TestWarmStartViaDaemon:
     def test_cold_tune_writes_the_record_once(
         self, tmp_path, binary, workload
     ):
-        """The engine publishes the winner; the daemon must not append
-        an identical second put for the same key."""
+        """The daemon writes the winner, and only once."""
         store = TuningStore(tmp_path / "s.jsonl")
         with DaemonHarness(store) as harness:
             assert harness.client().tune(binary, workload)["source"] == "tuned"
         assert store.stats().puts == 1
         assert len(store) == 1
+
+    def test_cold_then_warm_tune_is_one_miss_one_hit_one_put(
+        self, tmp_path, binary, workload
+    ):
+        """Only the daemon's own lookups reach its store: the tune
+        worker makes no second lookup of its own."""
+        store = TuningStore(tmp_path / "s.jsonl")
+        with DaemonHarness(store) as harness:
+            assert harness.client().tune(binary, workload)["source"] == "tuned"
+            assert harness.client().tune(binary, workload)["source"] == "store"
+            stats = harness.client().stats()["store"]
+        assert (stats["hits"], stats["misses"], stats["puts"]) == (1, 1, 1)
 
     def test_warm_hit_survives_daemon_restart(
         self, tmp_path, binary, workload

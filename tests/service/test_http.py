@@ -49,7 +49,8 @@ class TestHttpAdmin:
     def test_unknown_path_is_404(self, http_daemon):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(http_daemon, "/nope")
-        assert excinfo.value.code == 404
+        with excinfo.value as error:  # it holds the open response
+            assert error.code == 404
 
     def test_non_get_is_405(self, http_daemon):
         request = urllib.request.Request(
@@ -58,7 +59,8 @@ class TestHttpAdmin:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 405
+        with excinfo.value as error:
+            assert error.code == 405
 
     def test_malformed_request_line_is_400(self, http_daemon):
         with socket.create_connection(
@@ -104,9 +106,10 @@ class TestHttpAdmin:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 404
-        assert excinfo.value.read() == b""
-        assert int(excinfo.value.headers["Content-Length"]) > 0
+        with excinfo.value as error:
+            assert error.code == 404
+            assert error.read() == b""
+            assert int(error.headers["Content-Length"]) > 0
 
 
 class TestCliScrape:
@@ -151,7 +154,8 @@ class TestDebugEndpoints:
     def test_debug_trace_404_when_untraced(self, http_daemon):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(http_daemon, "/debug/trace")
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
     def test_debug_trace_serves_the_flushed_trace_file(self, tmp_path):
         store = TuningStore(tmp_path / "s3.jsonl")

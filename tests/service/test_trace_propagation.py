@@ -185,7 +185,7 @@ class TestForwardedTraceSpansBothDaemons:
         first = min(hops, key=lambda e: e["ts"])
         assert first["node"] == "client"
         # And the whole thing renders as one Chrome document.
-        doc = tracefile.merged_to_chrome(merged)
+        doc = tracefile.to_chrome(merged)
         processes = {
             e["args"]["name"]
             for e in doc["traceEvents"]

@@ -1,26 +1,269 @@
-"""The event-driven SM loop and memory model, kept as the reference.
+"""The event tracer and event-driven SM loop, kept as the reference.
 
-:meth:`repro.sim.sm.SMSimulator.run` runs the flat-array loop in
-:mod:`repro.sim.flat`.  This is the loop it replaced, with the memory
-subsystem only it used, unchanged except that the loop is a function
-taking the simulator instead of a method (and its docstring no longer
-names a switch selecting it): for the same traces, every
-``SMResult`` field the flat loop returns must equal what this one
-returns.
+The simulator records each warp straight into the flat arrays of
+:class:`repro.sim.trace.WarpTrace`, and :meth:`repro.sim.sm.SMSimulator.run`
+runs the flat-array loop in :mod:`repro.sim.flat`.  This module keeps
+what they replaced, as oracles:
+
+* the event tracer (:func:`generate_event_traces`,
+  :func:`trace_warp_events`), which records one readable
+  :class:`TraceEvent` per executed instruction, and
+  :func:`_flatten_trace`, which encodes an event stream as the flat
+  arrays: every warp the simulator traces must equal the encoding of
+  the same warp's events;
+* the event loop, with the memory subsystem only it used
+  (:func:`_run_pure`): for the same traces, every ``SMResult`` field
+  the flat loop returns must equal what this one returns.
+
+Both are the code the simulator ran before, changed only where what
+they used left :mod:`repro.sim`: the loop is a function taking the
+simulator instead of a method and reads :class:`EventTrace` lists, the
+tracer computes each instruction's event instead of caching it on the
+instruction and takes no initial global memory, and the encoder
+returns its arrays instead of storing them on the trace.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.arch.specs import CacheConfig, GpuArchitecture
-from repro.isa.instructions import FuncUnit, MemSpace
+from repro.ir.function import Module
+from repro.isa.instructions import FuncUnit, Instruction, MemSpace, Opcode
+from repro.sim.interp import Interpreter, LaunchConfig, Value, _ThreadState
 from repro.sim.memory import MemoryStats, SetAssociativeCache
 from repro.sim.sm import SMResult, SMSimulator
-from repro.sim.trace import WarpTrace
+from repro.sim.trace import (
+    FLAT_ALU as _ALU,
+    FLAT_BARRIER as _BARRIER,
+    FLAT_CTRL as _CTRL,
+    FLAT_MEM as _MEM,
+    FLAT_SFU as _SFU,
+    FLAT_SMEM as _SMEM,
+    FLAT_SP_GLOBAL as _SP_GLOBAL,
+    FLAT_SP_LOCAL as _SP_LOCAL,
+    FLAT_SP_OTHER as _SP_OTHER,
+    FLAT_SP_SHARED as _SP_SHARED,
+    MemoryTraits,
+    WarpTrace,
+    warp_lines,
+)
 
 
+# ----------------------------------------------------------------------
+# The event tracer
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TraceEvent:
+    """One warp-level instruction occurrence."""
+
+    unit: FuncUnit
+    space: MemSpace | None = None
+    #: distinct cache-line base addresses this warp instruction touches
+    lines: tuple[int, ...] = ()
+    barrier: bool = False
+
+
+@dataclass
+class EventTrace:
+    """One warp's instruction stream as readable events."""
+
+    events: list[TraceEvent] = field(default_factory=list)
+    truncated: bool = False
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+
+class _TraceLimit(Exception):
+    pass
+
+
+#: Every shared-memory access has this event; TraceEvent is frozen and
+#: compared by value, so sharing the instance is invisible to callers.
+_SMEM_EVENT = TraceEvent(unit=FuncUnit.SMEM, space=MemSpace.SHARED)
+
+
+def generate_event_traces(
+    module: Module,
+    kernel_name: str,
+    launch: LaunchConfig,
+    resident_warps: int,
+    traits: MemoryTraits | None = None,
+    max_events_per_warp: int = 6000,
+    line_bytes: int = 128,
+) -> list[EventTrace]:
+    """Trace ``resident_warps`` warps of a kernel launch as events.
+
+    Warp *w* is represented by global thread ``w * 32``; its block index
+    and in-block thread id follow from the launch geometry.  Barriers
+    are recorded as events (the SM simulator enforces the rendezvous);
+    cross-thread shared-memory values read as zero, which leaves control
+    flow intact for the workloads in :mod:`repro.bench`.
+    """
+    traits = traits or MemoryTraits()
+    kernel = module.functions[kernel_name]
+    warps_per_block = max(1, (launch.block_size + 31) // 32)
+    interp = Interpreter(module, max_steps=max(10 * max_events_per_warp, 100_000))
+    return [
+        trace_warp_events(
+            interp,
+            kernel,
+            launch,
+            w,
+            warps_per_block,
+            traits,
+            max_events_per_warp,
+            line_bytes,
+        )
+        for w in range(resident_warps)
+    ]
+
+
+def trace_warp_events(
+    interp: Interpreter,
+    kernel,
+    launch: LaunchConfig,
+    w: int,
+    warps_per_block: int,
+    traits: MemoryTraits,
+    max_events_per_warp: int,
+    line_bytes: int,
+) -> EventTrace:
+    """Trace one warp; warp *w*'s trace is independent of how many other
+    warps are resident, which is what makes per-warp caching sound.
+
+    ``interp`` is driven for the whole warp, so one interpreter must
+    not trace two warps at once.
+    """
+    block_index = w // warps_per_block
+    tid = (w % warps_per_block) * 32
+    if block_index >= launch.grid_blocks:
+        block_index %= max(1, launch.grid_blocks)
+    # A slice of warps follows a diverged address stream, modelling
+    # the irregular tail of graph/data-mining workloads.
+    warp_traits = traits
+    if traits.irregularity > 0 and ((w * 2654435761) % 97) / 97.0 < (
+        traits.irregularity
+    ):
+        warp_traits = MemoryTraits(
+            global_lane_stride=max(line_bytes, traits.global_lane_stride),
+            divergence=traits.divergence,
+            irregularity=traits.irregularity,
+            active_lanes=traits.active_lanes,
+        )
+    trace = EventTrace()
+    # Local memory is interleaved per thread by the hardware: one warp's
+    # access to slot ``s`` is one (warp-private) cache line at
+    # slot-major, warp-minor layout, ``(s // 4) * 8192 + local_base``.
+    local_base = w * line_bytes
+    observe = _event_observer(
+        trace.events, warp_traits, local_base, line_bytes,
+        max_events_per_warp,
+    )
+
+    interp.observer = observe
+    state = _ThreadState(tid, block_index)
+    memory: dict[int, Value] = {}
+    shared: dict[int, Value] = {}
+    gen = interp._run_function(kernel, state, launch, memory, shared, [])
+    try:
+        for _ in gen:
+            pass  # barriers already recorded by the observer
+    except _TraceLimit:
+        trace.truncated = True
+    finally:
+        interp.observer = None
+    return trace
+
+
+def _event(inst: Instruction) -> TraceEvent:
+    """The event of a non-memory instruction."""
+    if inst.opcode is Opcode.BAR:
+        return TraceEvent(unit=FuncUnit.SYNC, barrier=True)
+    return TraceEvent(unit=inst.func_unit)
+
+
+def _event_observer(events, traits, local_base, line_bytes, limit):
+    """Interpreter observer appending one :class:`TraceEvent` per
+    executed instruction to ``events``."""
+
+    def observe(
+        inst: Instruction, state: _ThreadState, address: int | None
+    ) -> None:
+        # ``address is None`` exactly when the instruction is not a
+        # memory op (the interpreter computes addresses only for those).
+        if len(events) >= limit:
+            raise _TraceLimit()
+        if address is None:
+            events.append(_event(inst))
+            return
+        space = inst.space
+        if space is MemSpace.SHARED:
+            events.append(_SMEM_EVENT)
+        elif space is MemSpace.LOCAL:
+            line = (address // 4) * 8192 + local_base
+            events.append(
+                TraceEvent(unit=FuncUnit.MEM, space=space, lines=(line,))
+            )
+        else:
+            lines = warp_lines(address, space, traits, line_bytes=line_bytes)
+            events.append(
+                TraceEvent(unit=FuncUnit.MEM, space=space, lines=lines)
+            )
+
+    return observe
+
+
+def _flatten_trace(trace: EventTrace):
+    """(codes, counts, spaces, lines) arrays for one warp's events."""
+    codes: list[int] = []
+    counts: list[int] = []
+    spaces: list[int] = []
+    lines: list[int] = []
+    for event in trace.events:
+        if event.barrier:
+            codes.append(_BARRIER)
+            counts.append(0)
+            spaces.append(_SP_OTHER)
+            continue
+        unit = event.unit
+        if unit is FuncUnit.MEM:
+            codes.append(_MEM)
+            counts.append(len(event.lines))
+            lines.extend(event.lines)
+            space = event.space
+            if space is MemSpace.LOCAL:
+                spaces.append(_SP_LOCAL)
+            elif space in (MemSpace.GLOBAL, MemSpace.PARAM):
+                spaces.append(_SP_GLOBAL)
+            elif space is MemSpace.SHARED:
+                spaces.append(_SP_SHARED)
+            else:
+                spaces.append(_SP_OTHER)
+        else:
+            if unit is FuncUnit.SMEM:
+                codes.append(_SMEM)
+            elif unit is FuncUnit.SFU:
+                codes.append(_SFU)
+            elif unit is FuncUnit.CTRL:
+                codes.append(_CTRL)
+            else:  # ALU and every other unit issue as ALU work
+                codes.append(_ALU)
+            counts.append(0)
+            spaces.append(_SP_OTHER)
+    return (codes, counts, spaces, lines)
+
+
+def flat_trace(trace: EventTrace) -> WarpTrace:
+    """The simulator's form of an event trace."""
+    return WarpTrace(flat=_flatten_trace(trace), truncated=trace.truncated)
+
+
+# ----------------------------------------------------------------------
+# The event loop
+# ----------------------------------------------------------------------
 class MemorySubsystem:
     """Per-SM view of the memory hierarchy with timing."""
 
@@ -101,7 +344,7 @@ class MemorySubsystem:
 
 @dataclass
 class _Warp:
-    trace: WarpTrace
+    trace: EventTrace
     block: int
     #: identity index in the resident-warp list (heap key; two warps
     #: with equal traces must still schedule independently, so pushes
@@ -118,7 +361,7 @@ class _Warp:
 
 
 def _run_pure(
-    self: SMSimulator, traces: list[WarpTrace], warps_per_block: int
+    self: SMSimulator, traces: list[EventTrace], warps_per_block: int
 ) -> SMResult:
     """The reference event loop."""
     arch = self.arch

@@ -1,9 +1,11 @@
-"""The SM loop against the reference event loop it replaced.
+"""The tracer and the SM loop against the reference ones they replaced.
 
-``SMSimulator.run`` runs the flat-array loop; ``tests/sim/reference_sm.py``
-keeps the event-driven loop and memory subsystem as the oracle.  Every
-``SMResult`` field must agree: cycles, instructions, each memory
-counter, issue stalls and barriers.
+``SMSimulator.run`` runs the flat-array loop on the flat traces the
+simulator records; ``tests/sim/reference_sm.py`` keeps the event tracer,
+its flat encoding, and the event-driven loop and memory subsystem as
+the oracle.  Every warp's flat arrays must equal the encoding of its
+reference events, and every ``SMResult`` field must agree: cycles,
+instructions, each memory counter, issue stalls and barriers.
 """
 
 from dataclasses import asdict
@@ -15,19 +17,19 @@ from repro.arch import GTX680, TESLA_C2075, CacheConfig
 from repro.bench.kernels import BENCHMARKS
 from repro.harness.experiments import compiled
 from repro.isa.instructions import FuncUnit, MemSpace
-from repro.sim.flat import _flatten_trace
-from repro.sim.gpu import simulate_kernel
+from repro.sim.gpu import _cached_traces, simulate_kernel
 from repro.sim.interp import Interpreter, LaunchConfig
 from repro.sim.sm import SMSimulator
-from repro.sim.trace import (
-    MemoryTraits,
-    TraceEvent,
-    WarpTrace,
-    _trace_warp,
-    generate_warp_traces,
-)
+from repro.sim.trace import MemoryTraits, _trace_warp
 from tests.helpers import module_from_asm
-from tests.sim.reference_sm import _run_pure
+from tests.sim.reference_sm import (
+    EventTrace,
+    TraceEvent,
+    _run_pure,
+    flat_trace,
+    generate_event_traces,
+    trace_warp_events,
+)
 
 #: a small line pool, so warps hit each other's lines in L1 and L2;
 #: the large entries take the hash past 32-bit tags
@@ -78,18 +80,15 @@ def test_event_traces_match_the_reference(
         swap_interval=swap[0],
         swap_latency=swap[1],
     )
-    result = sim.run([WarpTrace(events=list(e)) for e in warps], warps_per_block)
-    reference = _run_pure(
-        sim, [WarpTrace(events=list(e)) for e in warps], warps_per_block
-    )
+    traces = [EventTrace(list(e)) for e in warps]
+    result = sim.run([flat_trace(t) for t in traces], warps_per_block)
+    reference = _run_pure(sim, traces, warps_per_block)
     assert asdict(result) == asdict(reference)
 
 
-@pytest.mark.parametrize("arch", [GTX680, TESLA_C2075], ids=lambda a: a.name)
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_benchmark_originals_match_the_reference(name, arch):
-    """``simulate_kernel`` on its flat-only cached traces equals the
-    reference loop on ``generate_warp_traces``' event streams."""
+def _original(name, arch):
+    """The benchmark's original version on ``arch``, its workload and
+    launch, and its timing through ``simulate_kernel``."""
     spec = BENCHMARKS[name]
     wl = spec.workload
     version = compiled(spec, arch, strategy="local-spill").original
@@ -106,20 +105,79 @@ def test_benchmark_originals_match_the_reference(name, arch):
         max_events_per_warp=wl.max_events_per_warp,
         strategy=version.strategy,
     )
-    events = generate_warp_traces(
+    return version, wl, launch, timing
+
+
+def _reference_events(version, wl, launch, arch, resident):
+    return generate_event_traces(
         version.module,
         version.kernel_name,
         launch,
-        timing.resident_warps,
+        resident,
         traits=wl.traits,
         max_events_per_warp=wl.max_events_per_warp,
         line_bytes=arch.cache_line_bytes,
+    )
+
+
+def _assert_warps_match(
+    events, module, kernel_name, launch, traits, max_events_per_warp, arch
+):
+    """Every warp ``simulate_kernel`` traced (its trace-cache entry) has
+    the flat arrays and ``truncated`` flag of the reference tracer's
+    events for the same warp, encoded."""
+    traces = _cached_traces(
+        module,
+        kernel_name,
+        launch,
+        len(events),
+        traits,
+        max_events_per_warp,
+        arch.cache_line_bytes,
+    )
+    assert len(traces) == len(events)
+    for w, (trace, twin) in enumerate(zip(traces, events)):
+        assert trace == flat_trace(twin), f"warp {w}"
+
+
+_ARCHS = pytest.mark.parametrize(
+    "arch", [GTX680, TESLA_C2075], ids=lambda a: a.name
+)
+_NAMES = pytest.mark.parametrize("name", sorted(BENCHMARKS))
+
+
+@_ARCHS
+@_NAMES
+def test_benchmark_originals_match_the_reference(name, arch):
+    """``simulate_kernel`` on its cached flat traces equals the
+    reference loop on the reference tracer's event streams."""
+    version, wl, launch, timing = _original(name, arch)
+    events = _reference_events(
+        version, wl, launch, arch, timing.resident_warps
     )
     sim = SMSimulator(arch, traits=wl.traits, ilp=wl.ilp)
     warps_per_block = (launch.block_size + arch.warp_size - 1) // arch.warp_size
     reference = _run_pure(sim, events, warps_per_block)
     assert asdict(timing.sm) == asdict(reference)
     assert reference.instructions > 0
+
+
+@_ARCHS
+@_NAMES
+def test_benchmark_original_warps_match_the_reference_tracer(name, arch):
+    version, wl, launch, timing = _original(name, arch)
+    events = _reference_events(
+        version, wl, launch, arch, timing.resident_warps
+    )
+    _assert_warps_match(
+        events,
+        version.module,
+        version.kernel_name,
+        launch,
+        wl.traits,
+        wl.max_events_per_warp,
+        arch,
+    )
 
 
 def _every_space():
@@ -184,12 +242,17 @@ def test_every_memory_space_matches_the_reference(arch, traits):
         arch, module, "k", _SPACES_LAUNCH, regs_per_thread=16,
         smem_per_block=1024, traits=traits, max_events_per_warp=200,
     )
-    events = generate_warp_traces(
+    events = generate_event_traces(
         module, "k", _SPACES_LAUNCH, timing.resident_warps, traits=traits,
         max_events_per_warp=200, line_bytes=arch.cache_line_bytes,
     )
     assert any(t.truncated for t in events) and not all(
         t.truncated for t in events
+    )
+    # No benchmark kernel reads param space: this kernel is the one
+    # whose traced warps carry param loads.
+    _assert_warps_match(
+        events, module, "k", _SPACES_LAUNCH, traits, 200, arch
     )
     reference = _run_pure(SMSimulator(arch, traits=traits), events, 2)
     assert asdict(timing.sm) == asdict(reference)
@@ -199,19 +262,19 @@ def test_every_memory_space_matches_the_reference(arch, traits):
 @pytest.mark.parametrize("traits", _SPACES_TRAITS, ids=["coalesced", "irregular"])
 @pytest.mark.parametrize("limit", [40, 6000])
 def test_flat_only_trace_matches_its_event_twin(limit, traits):
-    """Same ``len()`` and ``truncated``, and the flat arrays the event
-    stream encodes to; the flat-only trace records no events."""
+    """Same ``len()`` and ``truncated``, and the flat arrays the
+    reference tracer's event stream encodes to."""
     module = _every_space()
     kernel = module.functions["k"]
     for w in range(8):
-        flat, twin = [
-            _trace_warp(
-                Interpreter(module), kernel, _SPACES_LAUNCH, w, 2, traits,
-                limit, None, 128, collect_flat=collect_flat,
-            )
-            for collect_flat in (True, False)
-        ]
-        assert flat.events == [] and twin.flat is None
+        flat = _trace_warp(
+            Interpreter(module), kernel, _SPACES_LAUNCH, w, 2, traits,
+            limit, 128,
+        )
+        twin = trace_warp_events(
+            Interpreter(module), kernel, _SPACES_LAUNCH, w, 2, traits,
+            limit, 128,
+        )
         assert len(flat) == len(twin) > 0
         assert flat.truncated == twin.truncated == (limit == 40)
-        assert flat.flat == _flatten_trace(twin)
+        assert flat == flat_trace(twin)

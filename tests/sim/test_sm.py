@@ -3,7 +3,7 @@
 from repro.arch import GTX680, TESLA_C2075
 from repro.isa.instructions import FuncUnit, MemSpace
 from repro.sim.sm import SMSimulator
-from repro.sim.trace import TraceEvent, WarpTrace
+from tests.sim.reference_sm import EventTrace, TraceEvent, flat_trace
 
 
 def alu(n=1):
@@ -19,7 +19,7 @@ def barrier():
 
 
 def trace(events):
-    return WarpTrace(events=list(events))
+    return flat_trace(EventTrace(list(events)))
 
 
 class TestBasics:

@@ -72,11 +72,11 @@ class TestSimulatorSurcharge:
 
     def test_surcharge_slows_the_sm(self):
         from repro.isa.instructions import FuncUnit
-        from repro.sim.trace import TraceEvent, WarpTrace
+        from tests.sim.reference_sm import EventTrace, TraceEvent, flat_trace
 
         def traces():
             return [
-                WarpTrace(events=[TraceEvent(unit=FuncUnit.ALU)] * 16)
+                flat_trace(EventTrace([TraceEvent(unit=FuncUnit.ALU)] * 16))
                 for _ in range(8)
             ]
 

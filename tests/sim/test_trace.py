@@ -1,14 +1,29 @@
 """Warp-trace generation tests."""
 
-from repro.isa.instructions import FuncUnit, MemSpace
+from repro.isa.instructions import MemSpace
 from repro.sim.interp import LaunchConfig
 from repro.sim.trace import (
+    FLAT_ALU,
+    FLAT_BARRIER,
+    FLAT_CTRL,
+    FLAT_MEM,
+    FLAT_SMEM,
+    FLAT_SP_LOCAL,
     MemoryTraits,
     generate_warp_traces,
-    trace_summary,
     warp_lines,
 )
 from tests.helpers import call_kernel, loop_kernel, module_from_asm
+
+
+def _accesses(trace):
+    """(space code, lines) of each memory occurrence, in order."""
+    codes, counts, spaces, lines = trace.flat
+    cursor = 0
+    for code, count, space in zip(codes, counts, spaces):
+        if code == FLAT_MEM:
+            yield space, tuple(lines[cursor:cursor + count])
+            cursor += count
 
 
 class TestWarpLines:
@@ -43,10 +58,10 @@ class TestGeneration:
         launch = LaunchConfig(grid_blocks=4, block_size=64, params={0: 5})
         traces = generate_warp_traces(module, "k", launch, resident_warps=4)
         assert len(traces) == 4
-        summary = trace_summary(traces)
-        assert summary["mem"] > 0
-        assert summary["alu"] > 0
-        assert summary["ctrl"] > 0
+        codes = [code for t in traces for code in t.flat[0]]
+        assert FLAT_MEM in codes
+        assert FLAT_ALU in codes
+        assert FLAT_CTRL in codes
 
     def test_loop_trip_count_drives_length(self):
         module = loop_kernel()
@@ -86,17 +101,14 @@ class TestGeneration:
         )
         launch = LaunchConfig(grid_blocks=2, block_size=64)
         traces = generate_warp_traces(module, "k", launch, 4)
-        first_lines = [
-            next(e for e in t.events if e.unit is FuncUnit.MEM).lines
-            for t in traces
-        ]
+        first_lines = [next(_accesses(t))[1] for t in traces]
         assert len(set(first_lines)) == 4
 
     def test_calls_traced_through(self):
         module = call_kernel()
         launch = LaunchConfig(block_size=32)
         traces = generate_warp_traces(module, "k", launch, 1)
-        ctrl = sum(1 for e in traces[0].events if e.unit is FuncUnit.CTRL)
+        ctrl = traces[0].flat[0].count(FLAT_CTRL)
         assert ctrl >= 3  # three dynamic calls
 
     def test_barriers_recorded(self):
@@ -117,8 +129,8 @@ class TestGeneration:
         )
         traces = generate_warp_traces(module, "k", LaunchConfig(block_size=64), 2)
         for t in traces:
-            assert sum(1 for e in t.events if e.barrier) == 1
-            assert any(e.unit is FuncUnit.SMEM for e in t.events)
+            assert t.flat[0].count(FLAT_BARRIER) == 1
+            assert FLAT_SMEM in t.flat[0]
 
     def test_local_addresses_interleaved_per_warp(self):
         module = module_from_asm(
@@ -138,8 +150,8 @@ class TestGeneration:
         traces = generate_warp_traces(module, "k", LaunchConfig(block_size=128), 4)
         local_lines = [
             next(
-                e.lines for e in t.events
-                if e.unit is FuncUnit.MEM and e.space is MemSpace.LOCAL
+                lines for space, lines in _accesses(t)
+                if space == FLAT_SP_LOCAL
             )
             for t in traces
         ]
