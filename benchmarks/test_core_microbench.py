@@ -14,7 +14,7 @@ from repro.arch import GTX680
 from repro.bench.kernels import BENCHMARKS
 from repro.compiler.pipeline import CompileOptions, compile_binary
 from repro.ir.cfg import CFG
-from repro.ir.interference import InterferenceGraph, build_interference
+from repro.ir.interference import build_interference
 from repro.ir.liveness import analyze_liveness
 from repro.ir.ssa import construct_ssa, destruct_ssa
 from repro.regalloc import matching

@@ -178,12 +178,12 @@ class Instruction:
     special: SpecialReg | None = None
     phi_args: list[tuple[str, Operand]] = field(default_factory=list)
 
-    # Simulator-side caches (class attributes, NOT dataclass fields:
-    # they must stay out of __init__/__eq__/__repr__).  Both depend
-    # purely on ``opcode`` — never on operands — so they cannot go
-    # stale under operand mutation by the allocator.
-    _exec_plan = None  # repro.sim.interp dispatch plan
-    _trace_event = None  # repro.sim.trace flat unit code
+    # Simulator-side cache (a class attribute, NOT a dataclass field: it
+    # must stay out of __init__/__eq__/__repr__).  The interpreter's
+    # plan — kind, handler and the unit the tracer records — depends
+    # purely on ``opcode``, never on operands or the memory space, so it
+    # cannot go stale under mutation by the allocator.
+    _exec_plan = None  # repro.sim.interp execution plan
 
     # ------------------------------------------------------------------
     # Structural queries

@@ -59,9 +59,7 @@ def profile_kernel(
     """Loop-weighted static instruction mix of a kernel's call tree."""
     traits = traits or MemoryTraits()
     compute = offchip = local = shared = 0.0
-    sample_lines = len(
-        warp_lines(0, MemSpace.GLOBAL, traits)
-    )
+    sample_lines = len(warp_lines([0], MemSpace.GLOBAL, traits)[0])
     for fn in module.functions.values():
         cfg = CFG(fn)
         for label in cfg.rpo:

@@ -33,7 +33,6 @@ from repro.sim.trace import (
     FLAT_SMEM as _SMEM,
     FLAT_SP_GLOBAL as _SP_GLOBAL,
     FLAT_SP_LOCAL as _SP_LOCAL,
-    FLAT_SP_SHARED as _SP_SHARED,
     WarpTrace,
 )
 
@@ -42,8 +41,7 @@ from repro.sim.trace import (
 # participation) are defined in trace.py, whose tracer emits the arrays:
 #   _MEM/_SMEM/_SFU/_CTRL/_BARRIER;
 #   _SP_GLOBAL (L1 only when arch.l1_caches_global), _SP_LOCAL (spill
-#   traffic: always L1), _SP_SHARED (shared space routed through a MEM
-#   occurrence: fixed latency), anything else straight to L2.
+#   traffic: always L1), anything else straight to L2.
 
 
 def _line_tables(trace: WarpTrace, lines: list[int], line_bytes: int,
@@ -170,7 +168,7 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
     in_flight: list[int] = []
     dram_free = 0
     l1_hits = l1_misses = l2_hits = l2_misses = 0
-    dram_tx = stalled = shared_accesses = 0
+    dram_tx = stalled = 0
 
     issue_clock = 0.0
     instructions = 0
@@ -231,69 +229,63 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
                     space = w_spaces[index][p]
                     cur = cursor[index]
                     cursor[index] = cur + count
-                    if space == _SP_SHARED:
-                        shared_accesses += count
-                        done = float(now + shared_latency)
-                        if done > completion:
-                            completion = done
-                    else:
-                        use_l1 = space == _SP_LOCAL or (
-                            space == _SP_GLOBAL and l1_global
-                        )
-                        tags = w_tags[index]
-                        l1i = w_l1i[index]
-                        l2i = w_l2i[index]
-                        for k in range(cur, cur + count):
-                            tag = tags[k]
-                            # MSHR admit: drop retired entries, stall
-                            # when the outstanding window is full.
-                            drop = bisect_right(in_flight, now)
-                            if drop:
-                                del in_flight[:drop]
-                            if len(in_flight) < mshr_limit:
-                                admitted = now
-                            else:
-                                stalled += 1
-                                admitted = in_flight[0]
-                            if use_l1:
-                                ways = l1_ways[l1i[k]]
-                                if tag in ways:
-                                    ways.remove(tag)
-                                    ways.append(tag)
-                                    l1_hits += 1
-                                    done = float(admitted + l1_latency)
-                                    if done > completion:
-                                        completion = done
-                                    continue
-                                ways.append(tag)
-                                if len(ways) > l1_assoc:
-                                    del ways[0]
-                                l1_misses += 1
-                            ways = l2_ways[l2i[k]]
+                    use_l1 = space == _SP_LOCAL or (
+                        space == _SP_GLOBAL and l1_global
+                    )
+                    tags = w_tags[index]
+                    l1i = w_l1i[index]
+                    l2i = w_l2i[index]
+                    for k in range(cur, cur + count):
+                        tag = tags[k]
+                        # MSHR admit: drop retired entries, stall
+                        # when the outstanding window is full.
+                        drop = bisect_right(in_flight, now)
+                        if drop:
+                            del in_flight[:drop]
+                        if len(in_flight) < mshr_limit:
+                            admitted = now
+                        else:
+                            stalled += 1
+                            admitted = in_flight[0]
+                        if use_l1:
+                            ways = l1_ways[l1i[k]]
                             if tag in ways:
                                 ways.remove(tag)
                                 ways.append(tag)
-                                l2_hits += 1
-                                done = admitted + l2_latency
-                            else:
-                                ways.append(tag)
-                                if len(ways) > l2_assoc:
-                                    del ways[0]
-                                l2_misses += 1
-                                dram_tx += 1
-                                issue = (
-                                    admitted
-                                    if admitted >= dram_free
-                                    else dram_free
-                                )
-                                dram_free = issue + dram_interval
-                                done = issue + dram_latency
-                            insort(in_flight, done)
-                            if len(in_flight) > mshr_cap:
-                                del in_flight[:-mshr_limit]
-                            done_f = float(done)
-                            if done_f > completion:
-                                completion = done_f
+                                l1_hits += 1
+                                done = float(admitted + l1_latency)
+                                if done > completion:
+                                    completion = done
+                                continue
+                            ways.append(tag)
+                            if len(ways) > l1_assoc:
+                                del ways[0]
+                            l1_misses += 1
+                        ways = l2_ways[l2i[k]]
+                        if tag in ways:
+                            ways.remove(tag)
+                            ways.append(tag)
+                            l2_hits += 1
+                            done = admitted + l2_latency
+                        else:
+                            ways.append(tag)
+                            if len(ways) > l2_assoc:
+                                del ways[0]
+                            l2_misses += 1
+                            dram_tx += 1
+                            issue = (
+                                admitted
+                                if admitted >= dram_free
+                                else dram_free
+                            )
+                            dram_free = issue + dram_interval
+                            done = issue + dram_latency
+                        insort(in_flight, done)
+                        if len(in_flight) > mshr_cap:
+                            del in_flight[:-mshr_limit]
+                        done_f = float(done)
+                        if done_f > completion:
+                            completion = done_f
                 readys[index] = completion
             elif code == _SMEM:
                 readys[index] = start + shared_latency
@@ -356,7 +348,6 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
         l2_hits=l2_hits,
         l2_misses=l2_misses,
         dram_transactions=dram_tx,
-        shared_accesses=shared_accesses,
         stalled_requests=stalled,
     )
     return cycles, instructions, stats, int(issue_stalls), barriers

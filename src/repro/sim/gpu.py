@@ -39,8 +39,8 @@ class LaunchError(RuntimeError):
 #: stays alive while cached) plus everything else trace generation
 #: depends on; bounded LRU so candidate churn during tuning cannot grow
 #: it without limit.  ``_TRACE_CACHE_LOCK`` guards the dict; each entry's
-#: own lock serialises its extension, since tracing drives the entry's
-#: one interpreter through a whole warp.
+#: own lock serialises its extension, so two callers never trace the
+#: same warps or extend the list from the same length.
 _TRACE_CACHE: OrderedDict = OrderedDict()
 _TRACE_CACHE_MAX = 8
 _TRACE_CACHE_LOCK = threading.Lock()
@@ -80,21 +80,20 @@ def _cached_traces(
     interp, traces, lock = entry
     with lock:
         if len(traces) < resident:
-            kernel = module.functions[kernel_name]
-            warps_per_block = max(1, (launch.block_size + 31) // 32)
-            for w in range(len(traces), resident):
-                traces.append(
-                    _trace_warp(
-                        interp,
-                        kernel,
-                        launch,
-                        w,
-                        warps_per_block,
-                        traits,
-                        max_events_per_warp,
-                        line_bytes,
-                    )
+            # One lockstep pass over the missing warps; the list is
+            # extended only once all of them are traced.
+            traces.extend(
+                _trace_warp(
+                    interp,
+                    module.functions[kernel_name],
+                    launch,
+                    range(len(traces), resident),
+                    max(1, (launch.block_size + 31) // 32),
+                    traits,
+                    max_events_per_warp,
+                    line_bytes,
                 )
+            )
         return traces[:resident]
 
 

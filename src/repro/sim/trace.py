@@ -1,15 +1,21 @@
-"""Per-warp instruction/address trace generation.
+"""Per-warp instruction/address trace generation, all warps in lockstep.
 
 The timing simulator consumes traces, not IR: for each resident warp we
 execute one *representative lane* (lane 0) through the real kernel
 binary with the functional interpreter and record every instruction —
 its unit code, its memory-space code, and the cache lines the full warp
 would touch — straight into the flat arrays the SM loop
-(:mod:`repro.sim.flat`) reads.  The other 31 lanes' addresses are
-derived from the representative address via the benchmark's *lane
-stride* (4 bytes = perfectly coalesced, one or two 128B transactions;
-128+ bytes = one transaction per lane, the paper's irregular-access
-pathology).
+(:mod:`repro.sim.flat`) reads.  The representative lanes of all the
+warps being traced run as one group of the interpreter
+(:mod:`repro.sim.interp`): each instruction is dispatched once, its
+unit and space codes are appended once for the group, and its line
+counts and lines once per warp.  Each warp is independent — its own
+lane, global, shared and local memory, and a barrier does not
+synchronise it — so when a branch splits the group, the two halves
+simply run on.  The other 31 lanes' addresses are derived from the
+representative address via the benchmark's *lane stride* (4 bytes =
+perfectly coalesced, one or two 128B transactions; 128+ bytes = one
+transaction per lane, the paper's irregular-access pathology).
 
 Because the traces come from the actual allocated binaries, every
 occupancy version carries its true costs: spill reloads appear as local
@@ -19,11 +25,11 @@ saves/restores as extra ALU moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.ir.function import Module
-from repro.isa.instructions import FuncUnit, Instruction, MemSpace, Opcode
-from repro.sim.interp import Interpreter, LaunchConfig, Value, _ThreadState
+from repro.isa.instructions import FuncUnit, Instruction, MemSpace
+from repro.sim.interp import _AT_BARRIER, Interpreter, LaunchConfig, _Group
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,8 @@ class WarpTrace:
     unit code (``FLAT_ALU`` … ``FLAT_BARRIER``), how many cache lines
     it touches and its space code (``FLAT_SP_*``), then every touched
     line in order.  ``truncated`` marks a trace cut at the event limit.
+    Warps traced in one group share their unit- and space-code lists;
+    no list is changed once its trace is returned.
     """
 
     flat: tuple[list[int], list[int], list[int], list[int]] = field(
@@ -77,25 +85,30 @@ class _TraceLimit(Exception):
 
 
 # Flat-encoding codes shared with :mod:`repro.sim.flat` (defined here
-# so the import direction stays trace -> flat acyclic).
+# so the import direction stays trace -> flat acyclic): unit codes, and
+# space codes (what decides L1 participation).
 FLAT_ALU, FLAT_MEM, FLAT_SMEM, FLAT_SFU, FLAT_CTRL, FLAT_BARRIER = range(6)
-FLAT_SP_GLOBAL, FLAT_SP_LOCAL, FLAT_SP_OTHER, FLAT_SP_SHARED = range(4)
+FLAT_SP_GLOBAL, FLAT_SP_LOCAL, FLAT_SP_OTHER = range(3)
 
 _UNIT_CODE = {
+    FuncUnit.ALU: FLAT_ALU,
+    FuncUnit.MEM: FLAT_MEM,
     FuncUnit.SMEM: FLAT_SMEM,
     FuncUnit.SFU: FLAT_SFU,
     FuncUnit.CTRL: FLAT_CTRL,
+    FuncUnit.SYNC: FLAT_BARRIER,
 }
 
 
 def warp_lines(
-    address: int,
+    addresses: list[int],
     space: MemSpace,
     traits: MemoryTraits,
     warp_size: int = 32,
     line_bytes: int = 128,
-) -> tuple[int, ...]:
-    """Cache lines touched by a warp given its representative address."""
+) -> list[tuple[int, ...]]:
+    """Cache lines touched by each warp, given each warp's
+    representative address."""
     stride = traits.lane_stride(space)
     lanes = min(warp_size, max(1, traits.active_lanes))
     # Closed forms for the common stride shapes (identical to the
@@ -105,20 +118,36 @@ def warp_lines(
     # when the step is a whole number of lines the lines are themselves
     # an arithmetic progression.
     if lanes == 1 or stride == 0:
-        return (address - address % line_bytes,)
+        return [(a - a % line_bytes,) for a in addresses]
+    reach = (lanes - 1) * stride
     if 0 < stride <= line_bytes:
-        first = address - address % line_bytes
-        span = address + (lanes - 1) * stride
-        last = span - span % line_bytes
-        return tuple(range(first, last + 1, line_bytes))
+        return [
+            tuple(
+                range(
+                    a - a % line_bytes,
+                    a + reach - (a + reach) % line_bytes + 1,
+                    line_bytes,
+                )
+            )
+            for a in addresses
+        ]
     if stride > 0 and stride % line_bytes == 0:
-        first = address - address % line_bytes
-        return tuple(first + lane * stride for lane in range(lanes))
-    lines = {
-        (address + lane * stride) // line_bytes * line_bytes
-        for lane in range(lanes)
-    }
-    return tuple(sorted(lines))
+        offsets = range(0, reach + 1, stride)
+        return [
+            tuple(a - a % line_bytes + offset for offset in offsets)
+            for a in addresses
+        ]
+    return [
+        tuple(
+            sorted(
+                {
+                    (a + lane * stride) // line_bytes * line_bytes
+                    for lane in range(lanes)
+                }
+            )
+        )
+        for a in addresses
+    ]
 
 
 def generate_warp_traces(
@@ -141,132 +170,188 @@ def generate_warp_traces(
     cache (:func:`repro.sim.gpu._cached_traces`) traces warps the same
     way.
     """
-    traits = traits or MemoryTraits()
-    kernel = module.functions[kernel_name]
-    warps_per_block = max(1, (launch.block_size + 31) // 32)
-    interp = Interpreter(module, max_steps=max(10 * max_events_per_warp, 100_000))
-    return [
-        _trace_warp(
-            interp,
-            kernel,
-            launch,
-            w,
-            warps_per_block,
-            traits,
-            max_events_per_warp,
-            line_bytes,
-        )
-        for w in range(resident_warps)
-    ]
+    return _trace_warp(
+        Interpreter(module, max_steps=max(10 * max_events_per_warp, 100_000)),
+        module.functions[kernel_name],
+        launch,
+        range(resident_warps),
+        max(1, (launch.block_size + 31) // 32),
+        traits or MemoryTraits(),
+        max_events_per_warp,
+        line_bytes,
+    )
 
 
 def _trace_warp(
     interp: Interpreter,
     kernel,
     launch: LaunchConfig,
-    w: int,
+    warps: range,
     warps_per_block: int,
     traits: MemoryTraits,
     max_events_per_warp: int,
     line_bytes: int,
-) -> WarpTrace:
-    """Trace one warp; warp *w*'s trace is independent of how many other
-    warps are resident, which is what makes per-warp caching sound.
+) -> list[WarpTrace]:
+    """Trace the warps in ``warps`` in lockstep; returns their traces in
+    warp order.
 
-    ``interp`` is driven for the whole warp, so one interpreter must
-    not trace two warps at once.
+    Warp *w*'s trace depends on *w* alone — its block, thread id,
+    address stream and local lines come from the absolute warp number —
+    not on which warps are traced with it, which is what makes
+    extending a cached list sound.  An error raised while tracing
+    propagates, and no trace is returned.
     """
-    block_index = w // warps_per_block
-    tid = (w % warps_per_block) * 32
-    if block_index >= launch.grid_blocks:
-        block_index %= max(1, launch.grid_blocks)
     # A slice of warps follows a diverged address stream, modelling
-    # the irregular tail of graph/data-mining workloads.
-    warp_traits = traits
-    if traits.irregularity > 0 and ((w * 2654435761) % 97) / 97.0 < (
-        traits.irregularity
-    ):
-        warp_traits = MemoryTraits(
-            global_lane_stride=max(line_bytes, traits.global_lane_stride),
-            divergence=traits.divergence,
-            irregularity=traits.irregularity,
-            active_lanes=traits.active_lanes,
-        )
-    trace = WarpTrace()
-    # Local memory is interleaved per thread by the hardware: one warp's
-    # access to slot ``s`` is one (warp-private) cache line at
-    # slot-major, warp-minor layout, ``(s // 4) * 8192 + local_base``.
-    local_base = w * line_bytes
-    interp.observer = _flat_observer(
-        trace.flat, warp_traits, local_base, line_bytes, max_events_per_warp
+    # the irregular tail of graph/data-mining workloads.  Warps are
+    # grouped by their traits, so each group computes lines in one call.
+    irregular = replace(
+        traits, global_lane_stride=max(line_bytes, traits.global_lane_stride)
     )
-    state = _ThreadState(tid, block_index)
-    shared: dict[int, Value] = {}
-    gen = interp._run_function(kernel, state, launch, {}, shared, [])
-    try:
-        for _ in gen:
-            pass  # barriers already recorded by the observer
-    except _TraceLimit:
-        trace.truncated = True
-    finally:
-        interp.observer = None
-    return trace
+    by_traits: dict[MemoryTraits, list[int]] = {}
+    for position, w in enumerate(warps):
+        drawn = ((w * 2654435761) % 97) / 97.0 < traits.irregularity
+        by_traits.setdefault(irregular if drawn else traits, []).append(position)
+
+    groups = []
+    for warp_traits, positions in by_traits.items():
+        numbers = [warps[p] for p in positions]
+        groups.append(
+            _Group(
+                kernel,
+                [(w % warps_per_block) * 32 for w in numbers],
+                [w // warps_per_block % max(1, launch.grid_blocks) for w in numbers],
+                [{} for _ in numbers],
+                [{} for _ in numbers],
+                [{} for _ in numbers],
+                # Local memory is interleaved per thread by the
+                # hardware: one warp's access to slot ``s`` is one
+                # (warp-private) cache line at slot-major, warp-minor
+                # layout, ``(s // 4) * 8192 + w * line_bytes``.
+                _GroupTrace(
+                    positions,
+                    [w * line_bytes for w in numbers],
+                    warp_traits,
+                    line_bytes,
+                    max_events_per_warp,
+                ),
+            )
+        )
+
+    traces: list[WarpTrace | None] = [None] * len(warps)
+    while groups:
+        group = groups.pop()
+        truncated = False
+        try:
+            outcome = interp._run_group(group, launch)
+            # A barrier does not synchronise traced warps (each has its
+            # own memory): the SM simulator enforces the rendezvous.
+            while outcome is _AT_BARRIER:
+                outcome = interp._run_group(group, launch)
+        except _TraceLimit:
+            # Every warp of a group has executed the same number of
+            # instructions, so the whole group reaches the limit.
+            outcome, truncated = None, True
+        if outcome is not None:
+            groups.extend(outcome)  # a split: both halves run on
+            continue
+        for position, trace in group.trace.finish(truncated):
+            traces[position] = trace
+    return traces
 
 
-def _plan(inst: Instruction) -> int:
-    """Flat unit code of a non-memory instruction, then cached on it as
-    ``_trace_event`` (opcode-determined, so it never goes stale)."""
-    if inst.opcode is Opcode.BAR:
-        code = FLAT_BARRIER
-    else:
-        code = _UNIT_CODE.get(inst.func_unit, FLAT_ALU)
-    inst._trace_event = code
-    return code
+class _GroupTrace:
+    """The flat arrays of a group of warps traced in lockstep.
 
+    ``codes`` and ``spaces`` are the group's (its warps executed the
+    same instructions); ``mem_at`` lists the positions of its line-
+    touching occurrences, and ``counts`` and ``lines`` hold, per warp,
+    each such occurrence's line count and the lines themselves.
+    ``positions`` are the warps' places in the traced range.
+    """
 
-def _flat_observer(flat, traits, local_base, line_bytes, limit):
-    """Interpreter observer appending each executed instruction to the
-    four ``flat`` lists."""
-    codes, counts, spaces, lines = flat
+    __slots__ = (
+        "positions", "local_bases", "traits", "line_bytes", "limit",
+        "codes", "spaces", "mem_at", "counts", "lines",
+    )
 
-    def observe(
+    def __init__(self, positions, local_bases, traits, line_bytes, limit):
+        self.positions = positions
+        self.local_bases = local_bases
+        self.traits = traits
+        self.line_bytes = line_bytes
+        self.limit = limit
+        self.codes: list[int] = []
+        self.spaces: list[int] = []
+        self.mem_at: list[int] = []
+        self.counts: list[list[int]] = [[] for _ in positions]
+        self.lines: list[list[int]] = [[] for _ in positions]
+
+    def add(
+        self,
         inst: Instruction,
-        state: _ThreadState,
-        address: int | None,
-        _code=codes.append,
-        _count=counts.append,
-        _space=spaces.append,
+        unit: FuncUnit | None,
+        addresses: list[int] | None,
     ) -> None:
-        if len(codes) >= limit:
+        """Record one instruction: its ``unit`` for a non-memory one, or
+        each warp's address for a memory one."""
+        codes = self.codes
+        if len(codes) >= self.limit:
             raise _TraceLimit()
-        # ``address is None`` exactly when the instruction is not a
-        # memory op (the interpreter computes addresses only for those).
-        if address is None:
-            code = inst._trace_event
-            _code(_plan(inst) if code is None else code)
-            _count(0)
-            _space(FLAT_SP_OTHER)
+        if addresses is None:
+            codes.append(_UNIT_CODE[unit])
+            self.spaces.append(FLAT_SP_OTHER)
             return
         space = inst.space
         if space is MemSpace.SHARED:
             # Shared accesses issue as SMEM-unit, non-memory occurrences.
-            _code(FLAT_SMEM)
-            _count(0)
-            _space(FLAT_SP_OTHER)
-        elif space is MemSpace.LOCAL:
-            _code(FLAT_MEM)
-            _count(1)
-            _space(FLAT_SP_LOCAL)
-            lines.append((address // 4) * 8192 + local_base)
-        else:
-            touched = warp_lines(address, space, traits, line_bytes=line_bytes)
-            _code(FLAT_MEM)
-            _count(len(touched))
-            _space(
-                FLAT_SP_GLOBAL
-                if space is MemSpace.GLOBAL or space is MemSpace.PARAM
-                else FLAT_SP_OTHER
-            )
-            lines.extend(touched)
+            codes.append(FLAT_SMEM)
+            self.spaces.append(FLAT_SP_OTHER)
+            return
+        self.mem_at.append(len(codes))
+        codes.append(FLAT_MEM)
+        if space is MemSpace.LOCAL:
+            self.spaces.append(FLAT_SP_LOCAL)
+            for counts, lines, address, base in zip(
+                self.counts, self.lines, addresses, self.local_bases
+            ):
+                counts.append(1)
+                lines.append((address // 4) * 8192 + base)
+            return
+        # Global or param: any other space raises in the interpreter
+        # right after this, and the trace is dropped.
+        self.spaces.append(FLAT_SP_GLOBAL)
+        touched = warp_lines(
+            addresses, space, self.traits, line_bytes=self.line_bytes
+        )
+        for counts, lines, warp in zip(self.counts, self.lines, touched):
+            counts.append(len(warp))
+            lines.extend(warp)
 
-    return observe
+    def select(self, positions: list[int]) -> "_GroupTrace":
+        """The record of the warps at ``positions`` (of this group), for
+        a half of a split; the group's codes so far are copied."""
+        half = _GroupTrace.__new__(_GroupTrace)
+        half.positions = [self.positions[i] for i in positions]
+        half.local_bases = [self.local_bases[i] for i in positions]
+        half.traits, half.line_bytes = self.traits, self.line_bytes
+        half.limit = self.limit
+        half.codes = self.codes[:]
+        half.spaces = self.spaces[:]
+        half.mem_at = self.mem_at[:]
+        half.counts = [self.counts[i] for i in positions]
+        half.lines = [self.lines[i] for i in positions]
+        return half
+
+    def finish(self, truncated: bool):
+        """``(position, WarpTrace)`` of each warp of the group."""
+        size = len(self.codes)
+        for position, mem_counts, lines in zip(
+            self.positions, self.counts, self.lines
+        ):
+            counts = [0] * size
+            for at, count in zip(self.mem_at, mem_counts):
+                counts[at] = count
+            yield position, WarpTrace(
+                flat=(self.codes, counts, self.spaces, lines),
+                truncated=truncated,
+            )

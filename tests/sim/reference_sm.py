@@ -6,11 +6,12 @@ runs the flat-array loop in :mod:`repro.sim.flat`.  This module keeps
 what they replaced, as oracles:
 
 * the event tracer (:func:`generate_event_traces`,
-  :func:`trace_warp_events`), which records one readable
-  :class:`TraceEvent` per executed instruction, and
-  :func:`_flatten_trace`, which encodes an event stream as the flat
-  arrays: every warp the simulator traces must equal the encoding of
-  the same warp's events;
+  :func:`trace_warp_events`), which runs one warp's lane 0 at a time
+  on the per-thread interpreter (``tests/sim/reference_interp.py``)
+  and records one readable :class:`TraceEvent` per executed
+  instruction, and :func:`_flatten_trace`, which encodes an event
+  stream as the flat arrays: every warp the simulator traces, in
+  lockstep groups, must equal the encoding of the same warp's events;
 * the event loop, with the memory subsystem only it used
   (:func:`_run_pure`): for the same traces, every ``SMResult`` field
   the flat loop returns must equal what this one returns.
@@ -18,9 +19,10 @@ what they replaced, as oracles:
 Both are the code the simulator ran before, changed only where what
 they used left :mod:`repro.sim`: the loop is a function taking the
 simulator instead of a method and reads :class:`EventTrace` lists, the
-tracer computes each instruction's event instead of caching it on the
+tracer caches each instruction's event per warp instead of on the
 instruction and takes no initial global memory, and the encoder
-returns its arrays instead of storing them on the trace.
+returns its arrays instead of storing them on the trace and rejects a
+MEM-unit event in shared space, which neither tracer records.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.ir.function import Module
 from repro.isa.instructions import FuncUnit, Instruction, MemSpace, Opcode
-from repro.sim.interp import Interpreter, LaunchConfig, Value, _ThreadState
+from repro.sim.interp import LaunchConfig, Value
 from repro.sim.memory import MemoryStats, SetAssociativeCache
 from repro.sim.sm import SMResult, SMSimulator
 from repro.sim.trace import (
@@ -44,11 +46,11 @@ from repro.sim.trace import (
     FLAT_SP_GLOBAL as _SP_GLOBAL,
     FLAT_SP_LOCAL as _SP_LOCAL,
     FLAT_SP_OTHER as _SP_OTHER,
-    FLAT_SP_SHARED as _SP_SHARED,
     MemoryTraits,
     WarpTrace,
     warp_lines,
 )
+from tests.sim.reference_interp import Interpreter, _ThreadState
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +190,9 @@ def _event(inst: Instruction) -> TraceEvent:
 def _event_observer(events, traits, local_base, line_bytes, limit):
     """Interpreter observer appending one :class:`TraceEvent` per
     executed instruction to ``events``."""
+    # ``id(inst) -> (inst, event)`` for this warp's non-memory
+    # instructions (holding ``inst`` keeps its id from being reused).
+    seen: dict[int, tuple] = {}
 
     def observe(
         inst: Instruction, state: _ThreadState, address: int | None
@@ -197,7 +202,10 @@ def _event_observer(events, traits, local_base, line_bytes, limit):
         if len(events) >= limit:
             raise _TraceLimit()
         if address is None:
-            events.append(_event(inst))
+            cached = seen.get(id(inst))
+            if cached is None:
+                cached = seen[id(inst)] = (inst, _event(inst))
+            events.append(cached[1])
             return
         space = inst.space
         if space is MemSpace.SHARED:
@@ -208,7 +216,9 @@ def _event_observer(events, traits, local_base, line_bytes, limit):
                 TraceEvent(unit=FuncUnit.MEM, space=space, lines=(line,))
             )
         else:
-            lines = warp_lines(address, space, traits, line_bytes=line_bytes)
+            (lines,) = warp_lines(
+                [address], space, traits, line_bytes=line_bytes
+            )
             events.append(
                 TraceEvent(unit=FuncUnit.MEM, space=space, lines=lines)
             )
@@ -239,7 +249,9 @@ def _flatten_trace(trace: EventTrace):
             elif space in (MemSpace.GLOBAL, MemSpace.PARAM):
                 spaces.append(_SP_GLOBAL)
             elif space is MemSpace.SHARED:
-                spaces.append(_SP_SHARED)
+                # Both tracers record a shared access as an SMEM-unit
+                # event, and the flat loop has no shared-space branch.
+                raise ValueError("a MEM-unit event in shared space")
             else:
                 spaces.append(_SP_OTHER)
         else:

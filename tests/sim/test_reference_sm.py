@@ -13,15 +13,24 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import GTX680, TESLA_C2075, CacheConfig
+from repro.arch import GTX680, GTX980, GTX1080, TESLA_C2075, CacheConfig
 from repro.bench.kernels import BENCHMARKS
+from repro.fuzz.generator import (
+    PARAM_BASE_OFFSET,
+    PARAM_BASE_VALUE,
+    SHAPES,
+    generate_module,
+)
 from repro.harness.experiments import compiled
 from repro.isa.instructions import FuncUnit, MemSpace
-from repro.sim.gpu import _cached_traces, simulate_kernel
-from repro.sim.interp import Interpreter, LaunchConfig
+from repro.regalloc.allocator import BudgetError, allocate_module
+from repro.sim.gpu import _cached_traces, residency, simulate_kernel
+from repro.sim.interp import Interpreter, LaunchConfig, run_kernel
 from repro.sim.sm import SMSimulator
-from repro.sim.trace import MemoryTraits, _trace_warp
+from repro.sim.trace import MemoryTraits, _trace_warp, generate_warp_traces
 from tests.helpers import module_from_asm
+from tests.regalloc.test_fuzz_allocation import random_kernel
+from tests.sim import reference_interp
 from tests.sim.reference_sm import (
     EventTrace,
     TraceEvent,
@@ -47,11 +56,13 @@ _EVENT = st.one_of(
             TraceEvent(unit=FuncUnit.SYNC, barrier=True),
         ]
     ),
+    # Shared space appears only as the SMEM-unit event above: neither
+    # tracer records a MEM-unit shared access.
     st.builds(
         lambda space, lines: TraceEvent(
             unit=FuncUnit.MEM, space=space, lines=tuple(lines)
         ),
-        st.sampled_from(list(MemSpace)),
+        st.sampled_from([s for s in MemSpace if s is not MemSpace.SHARED]),
         st.lists(_LINES, max_size=40),
     ),
 )
@@ -162,22 +173,97 @@ def test_benchmark_originals_match_the_reference(name, arch):
     assert reference.instructions > 0
 
 
-@_ARCHS
+@pytest.mark.parametrize(
+    "arch", [GTX680, TESLA_C2075, GTX980, GTX1080], ids=lambda a: a.name
+)
 @_NAMES
 def test_benchmark_original_warps_match_the_reference_tracer(name, arch):
-    version, wl, launch, timing = _original(name, arch)
-    events = _reference_events(
-        version, wl, launch, arch, timing.resident_warps
+    """Every warp the trace cache records for every version of the fat
+    binary, the original first, at the resident count
+    ``simulate_kernel`` uses: versions sharing a module share one
+    entry, traced to the largest count."""
+    spec = BENCHMARKS[name]
+    wl = spec.workload
+    launch = wl.launch()
+    resident_by_module: dict[int, tuple] = {}
+    for version in compiled(spec, arch, strategy="local-spill").versions:
+        _, _, _, resident = residency(
+            arch,
+            version.kernel_name,
+            launch,
+            version.regs_per_thread,
+            version.smem_per_block,
+            CacheConfig.SMALL_CACHE,
+            None,
+            version.strategy,
+        )
+        _, _, most = resident_by_module.get(id(version.module), (0, 0, 0))
+        resident_by_module[id(version.module)] = (
+            version.module, version.kernel_name, max(most, resident)
+        )
+    for module, kernel_name, resident in resident_by_module.values():
+        events = generate_event_traces(
+            module,
+            kernel_name,
+            launch,
+            resident,
+            traits=wl.traits,
+            max_events_per_warp=wl.max_events_per_warp,
+            line_bytes=arch.cache_line_bytes,
+        )
+        _assert_warps_match(
+            events, module, kernel_name, launch, wl.traits,
+            wl.max_events_per_warp, arch,
+        )
+
+
+_GROUP_LAUNCH = LaunchConfig(
+    grid_blocks=3, block_size=96, params={PARAM_BASE_OFFSET: PARAM_BASE_VALUE}
+)
+_GROUP_TRAITS = MemoryTraits(irregularity=0.4, active_lanes=8)
+
+
+def _assert_group_traces_match(module, limit):
+    """Nine warps of three blocks, uncached, equal the per-thread
+    tracer's, warp for warp."""
+    kernel = module.kernel().name
+    traces = generate_warp_traces(
+        module, kernel, _GROUP_LAUNCH, 9, _GROUP_TRAITS, limit, 128
     )
-    _assert_warps_match(
-        events,
-        version.module,
-        version.kernel_name,
-        launch,
-        wl.traits,
-        wl.max_events_per_warp,
-        arch,
+    events = generate_event_traces(
+        module, kernel, _GROUP_LAUNCH, 9, traits=_GROUP_TRAITS,
+        max_events_per_warp=limit, line_bytes=128,
     )
+    assert traces == [flat_trace(e) for e in events]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_fuzz_module_warps_match_the_reference_tracer(shape):
+    for seed in range(4):
+        module = generate_module(seed, shape)
+        _assert_group_traces_match(module, 6000)
+        _assert_group_traces_match(module, 50)
+
+
+@given(random_kernel())
+@settings(max_examples=25, deadline=None)
+def test_random_program_warps_match_the_reference_tracer(case):
+    """The allocation fuzzer's programs, before and after allocation
+    (frame-ABI calls, spills): their diamonds branch on the thread id,
+    so traced groups and functional blocks split."""
+    module, budget = case
+    modules = [module]
+    try:
+        modules.append(allocate_module(module, "k", budget, block_size=96).module)
+    except BudgetError:
+        pass
+    launch = LaunchConfig(grid_blocks=2, block_size=4)
+    memory = {i * 4: float(i % 5 + 1) for i in range(64)}
+    for program in modules:
+        _assert_group_traces_match(program, 6000)
+        assert reference_interp.reference_run_kernel(
+            program, launch, global_memory=memory
+        ) == run_kernel(program, launch, global_memory=memory)
 
 
 def _every_space():
@@ -266,14 +352,15 @@ def test_flat_only_trace_matches_its_event_twin(limit, traits):
     reference tracer's event stream encodes to."""
     module = _every_space()
     kernel = module.functions["k"]
-    for w in range(8):
-        flat = _trace_warp(
-            Interpreter(module), kernel, _SPACES_LAUNCH, w, 2, traits,
-            limit, 128,
-        )
+    traces = _trace_warp(
+        Interpreter(module), kernel, _SPACES_LAUNCH, range(8), 2, traits,
+        limit, 128,
+    )
+    assert len(traces) == 8
+    for w, flat in enumerate(traces):
         twin = trace_warp_events(
-            Interpreter(module), kernel, _SPACES_LAUNCH, w, 2, traits,
-            limit, 128,
+            reference_interp.Interpreter(module), kernel, _SPACES_LAUNCH, w,
+            2, traits, limit, 128,
         )
         assert len(flat) == len(twin) > 0
         assert flat.truncated == twin.truncated == (limit == 40)

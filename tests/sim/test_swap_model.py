@@ -11,7 +11,7 @@ charges it exactly as the reference event loop does.
 
 import pytest
 
-from repro.arch import GTX680, calculate_occupancy
+from repro.arch import GTX680
 from repro.sim.gpu import simulate_kernel
 from repro.sim.interp import LaunchConfig
 from repro.sim.sm import SMSimulator

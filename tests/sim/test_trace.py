@@ -29,27 +29,27 @@ def _accesses(trace):
 class TestWarpLines:
     def test_coalesced_is_one_line(self):
         traits = MemoryTraits(global_lane_stride=4)
-        lines = warp_lines(0, MemSpace.GLOBAL, traits)
+        lines = warp_lines([0], MemSpace.GLOBAL, traits)[0]
         assert lines == (0,)
 
     def test_coalesced_straddling_two_lines(self):
         traits = MemoryTraits(global_lane_stride=4)
-        lines = warp_lines(100, MemSpace.GLOBAL, traits)
+        lines = warp_lines([100], MemSpace.GLOBAL, traits)[0]
         assert lines == (0, 128)
 
     def test_fully_scattered_is_32_lines(self):
         traits = MemoryTraits(global_lane_stride=128)
-        lines = warp_lines(0, MemSpace.GLOBAL, traits)
+        lines = warp_lines([0], MemSpace.GLOBAL, traits)[0]
         assert len(lines) == 32
 
     def test_active_lanes_limits_footprint(self):
         traits = MemoryTraits(global_lane_stride=128, active_lanes=4)
-        lines = warp_lines(0, MemSpace.GLOBAL, traits)
+        lines = warp_lines([0], MemSpace.GLOBAL, traits)[0]
         assert len(lines) == 4
 
     def test_local_always_coalesced(self):
         traits = MemoryTraits(global_lane_stride=128)
-        assert len(warp_lines(0, MemSpace.LOCAL, traits)) == 1
+        assert len(warp_lines([0], MemSpace.LOCAL, traits)[0]) == 1
 
 
 class TestGeneration:
