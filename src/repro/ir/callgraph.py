@@ -17,6 +17,30 @@ class RecursionError_(ValueError):
     """Raised when the call graph contains a cycle."""
 
 
+def check_acyclic(module: Module, callees: dict[str, set[str]]) -> None:
+    """Raise :class:`RecursionError_` if the calls ``callees`` maps each
+    function of ``module`` to form a cycle.  ``Module.validate`` runs it
+    too, so a module that validates is never recursive."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {name: WHITE for name in module.functions}
+
+    def visit(name: str, trail: list[str]) -> None:
+        color[name] = GREY
+        for callee in sorted(callees.get(name, ())):
+            if callee not in color:
+                continue  # module.validate() reports unknown callees
+            if color[callee] == GREY:
+                cycle = " -> ".join(trail + [name, callee])
+                raise RecursionError_(f"recursive device call: {cycle}")
+            if color[callee] == WHITE:
+                visit(callee, trail + [name])
+        color[name] = BLACK
+
+    for name in module.functions:
+        if color[name] == WHITE:
+            visit(name, [])
+
+
 class CallGraph:
     def __init__(self, module: Module) -> None:
         self.module = module
@@ -34,27 +58,7 @@ class CallGraph:
                         names.add(inst.callee)
             self.call_sites[fn.name] = sites
             self.callees[fn.name] = names
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self.module.functions}
-
-        def visit(name: str, trail: list[str]) -> None:
-            color[name] = GREY
-            for callee in sorted(self.callees.get(name, ())):
-                if callee not in color:
-                    continue  # module.validate() reports unknown callees
-                if color[callee] == GREY:
-                    cycle = " -> ".join(trail + [name, callee])
-                    raise RecursionError_(f"recursive device call: {cycle}")
-                if color[callee] == WHITE:
-                    visit(callee, trail + [name])
-            color[name] = BLACK
-
-        for name in self.module.functions:
-            if color[name] == WHITE:
-                visit(name, [])
+        check_acyclic(module, self.callees)
 
     def static_call_count(self, root: str) -> int:
         """Static call sites transitively reachable from ``root``.

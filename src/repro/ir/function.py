@@ -238,10 +238,17 @@ class Module:
         return [f for f in self.functions.values() if not f.is_kernel]
 
     def validate(self) -> None:
+        """Raise ``ValueError`` on a malformed function, a bad call or a
+        recursive call graph (which GPU device code cannot have)."""
+        from repro.ir.callgraph import check_acyclic
+
+        callees: dict[str, set[str]] = {}
         for fn in self.functions.values():
             fn.validate()
+            called = callees[fn.name] = set()
             for inst in fn.instructions():
                 if inst.is_call:
+                    called.add(inst.callee)
                     callee = self.functions.get(inst.callee or "")
                     if callee is None:
                         raise ValueError(
@@ -260,6 +267,7 @@ class Module:
                             f"{fn.name} passes {len(inst.srcs)} args to "
                             f"{callee.name} (expects {callee.num_args})"
                         )
+        check_acyclic(self, callees)
 
     def copy(self) -> "Module":
         clone = Module(self.name)

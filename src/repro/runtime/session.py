@@ -11,6 +11,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.compiler.multiversion import MultiVersionBinary
@@ -35,6 +36,10 @@ class Workload:
     #: blocks and the tuner compares work-normalised runtimes — the
     #: paper's future-work fix for iteration-varying kernels.
     work_profile: list[float] | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.ilp < math.inf:
+            raise ValueError(f"ilp must be finite and positive, got {self.ilp!r}")
 
     def work_at(self, iteration: int) -> float:
         if not self.work_profile:

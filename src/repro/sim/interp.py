@@ -173,9 +173,10 @@ class _Group:
 #: barrier (``None``: the group exited; a pair of groups: it split).
 _AT_BARRIER = object()
 
-#: Bound on nested calls: ``Module.validate`` accepts a recursive call
-#: graph, and each call pushes a frame, so unbounded recursion would
-#: otherwise grow the stack until memory runs out.
+#: Bound on nested calls.  ``Module.validate`` rejects a recursive call
+#: graph, so a validated module nests at most one frame per function;
+#: the bound stops a module changed after validation from growing the
+#: frame stack until memory runs out.
 _MAX_CALL_DEPTH = 1000
 
 

@@ -20,6 +20,7 @@ loop itself is :func:`repro.sim.flat.run_flat`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.arch.specs import CacheConfig, GpuArchitecture
@@ -58,8 +59,8 @@ class SMSimulator:
         self.arch = arch
         self.cache_config = cache_config
         self.traits = traits or MemoryTraits()
-        if ilp <= 0:
-            raise ValueError("ilp must be positive")
+        if not 0 < ilp < math.inf:
+            raise ValueError(f"ilp must be finite and positive, got {ilp!r}")
         self.ilp = ilp
         # Soft-limit (oversubscribed) strategies: every ``swap_interval``-th
         # instruction of a warp pays ``swap_latency`` extra cycles for

@@ -25,6 +25,7 @@ saves/restores as extra ALU moves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.ir.function import Module
@@ -41,7 +42,9 @@ class MemoryTraits:
     128 or more = one cache line per lane (fully diverged).  Local
     (spill) memory is hardware-interleaved per thread and therefore
     always coalesced.  ``divergence`` multiplies ALU issue cost to model
-    intra-warp control divergence (serialised branch paths).
+    intra-warp control divergence (serialised branch paths); it must be
+    finite and positive, or the SM loop's issue clock would stand still
+    or run backwards.
     """
 
     global_lane_stride: int = 4
@@ -52,6 +55,12 @@ class MemoryTraits:
     #: lanes that actually issue a memory access (graph kernels leave
     #: most of the warp idle at any one step: sparse but latency-bound)
     active_lanes: int = 32
+
+    def __post_init__(self) -> None:
+        if not 0 < self.divergence < math.inf:
+            raise ValueError(
+                f"divergence must be finite and positive, got {self.divergence!r}"
+            )
 
     def lane_stride(self, space: MemSpace) -> int:
         if space in (MemSpace.GLOBAL, MemSpace.PARAM):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ir.cfg import CFG, split_critical_edges
 from repro.ir.callgraph import CallGraph, RecursionError_, count_static_calls
+from repro.isa.assembly import parse_module
 from tests.helpers import (
     call_kernel,
     diamond_kernel,
@@ -159,7 +160,8 @@ class TestCallGraph:
         assert cg.reachable("scale") == {"scale", "offset"}
 
     def test_recursion_rejected(self):
-        module = module_from_asm(
+        """By the call graph, and by ``Module.validate``, which uses it."""
+        module = parse_module(
             """
             .module m
             .kernel k shared=0
@@ -176,6 +178,8 @@ class TestCallGraph:
         )
         with pytest.raises(RecursionError_):
             CallGraph(module)
+        with pytest.raises(RecursionError_, match="k -> f -> f"):
+            module.validate()
 
     def test_direct_callers(self):
         module = call_kernel()

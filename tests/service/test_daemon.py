@@ -28,7 +28,8 @@ from repro.service.client import (
     TuningClient,
     tune_with_fallback,
 )
-from repro.service.daemon import DaemonConfig, TuningDaemon
+from repro.service import daemon as daemon_module
+from repro.service.daemon import DaemonConfig, TuningDaemon, workload_from_payload
 from repro.service.store import TuningStore
 from repro.sim import LaunchConfig
 from repro.sim.backend import get_backend
@@ -245,6 +246,31 @@ class TestDecodeOnDemand:
         assert len(store) == 0 and store.stats().puts == 0
 
 
+_INVALID_WORKLOADS = [
+    ({"ilp": float("nan")}, "ilp must be finite and positive"),
+    ({"ilp": 0}, "ilp must be finite and positive"),
+    ({"ilp": float("inf")}, "ilp must be finite and positive"),
+    ({"traits": {"divergence": -1.0}}, "divergence must be finite and positive"),
+    ({"traits": {"divergence": float("nan")}}, "divergence must be finite and positive"),
+    ({"traits": {"divergence": 0.0}}, "divergence must be finite and positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    _INVALID_WORKLOADS,
+    ids=[
+        "ilp-nan", "ilp-zero", "ilp-inf",
+        "divergence-negative", "divergence-nan", "divergence-zero",
+    ],
+)
+def test_workload_from_payload_rejects_invalid_simulator_parameters(
+    bad, message
+):
+    with pytest.raises(ValueError, match=message):
+        workload_from_payload({"grid_blocks": 4, "block_size": 64, **bad})
+
+
 class TestDaemonRobustness:
     def test_survives_malformed_frames_and_requests(
         self, tmp_path, binary, workload
@@ -293,6 +319,34 @@ class TestDaemonRobustness:
             client = harness.client()
             assert client.ping()["ok"] is True
             assert client.tune(binary, workload)["source"] == "tuned"
+
+    def test_invalid_simulator_parameters_are_bad_requests(
+        self, tmp_path, binary, monkeypatch
+    ):
+        """A NaN or non-positive ILP or divergence (JSON carries NaN and
+        Infinity) is refused before the daemon keys or tunes."""
+        keyed = []
+        original_key = daemon_module.tuning_key
+
+        def tuning_key(*args, **kwargs):
+            keyed.append(args)
+            return original_key(*args, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "tuning_key", tuning_key)
+        store = TuningStore(tmp_path / "s.jsonl")
+        before = _backend_invocations()
+        with DaemonHarness(store) as harness:
+            for bad, message in _INVALID_WORKLOADS:
+                response = _raw_tune(
+                    harness.port,
+                    binary.to_bytes(),
+                    {"grid_blocks": 64, "block_size": 256, **bad},
+                )
+                assert response["code"] == protocol.CODE_BAD_REQUEST, bad
+                assert message in response["error"]
+        assert keyed == []
+        assert _backend_invocations() == before
+        assert len(store) == 0
 
     def test_queue_full_rejection_carries_retry_after(
         self, tmp_path, binary, workload

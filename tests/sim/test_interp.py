@@ -12,6 +12,7 @@ from repro.fuzz.generator import (
     generate_module,
 )
 from repro.harness.experiments import compiled
+from repro.isa.assembly import parse_module
 from repro.sim.interp import InterpError, Interpreter, LaunchConfig, run_kernel
 from tests.helpers import (
     call_kernel,
@@ -245,7 +246,8 @@ class TestErrors:
             run_kernel(module, LaunchConfig(block_size=1))
 
     def test_unbounded_recursion_detected(self):
-        module = module_from_asm(
+        """Validation rejects the recursive module before it runs."""
+        module = parse_module(
             """
             .module rec
             .kernel k shared=0
@@ -260,7 +262,7 @@ class TestErrors:
             .end
             """
         )
-        with pytest.raises(InterpError, match="recursion"):
+        with pytest.raises(ValueError, match="recursive device call: k -> f -> f"):
             run_kernel(module, LaunchConfig(block_size=2))
 
     def test_running_device_function_rejected(self):

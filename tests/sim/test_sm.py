@@ -1,8 +1,11 @@
 """SM scheduler tests: latency hiding, barriers, determinism."""
 
+import pytest
+
 from repro.arch import GTX680, TESLA_C2075
 from repro.isa.instructions import FuncUnit, MemSpace
 from repro.sim.sm import SMSimulator
+from repro.sim.trace import MemoryTraits
 from tests.sim.reference_sm import EventTrace, TraceEvent, flat_trace
 
 
@@ -43,6 +46,27 @@ class TestBasics:
         ]
         b = SMSimulator(TESLA_C2075).run(traces, 8)
         assert a.cycles == b.cycles
+
+
+_NOT_FINITE_AND_POSITIVE = [0.0, -1.0, float("nan"), float("inf")]
+
+
+class TestParameters:
+    """A non-positive or non-finite divergence would stall or reverse
+    the SM loop's issue clock, and such an ILP has no meaning, so both
+    are rejected where they are set."""
+
+    @pytest.mark.parametrize("ilp", _NOT_FINITE_AND_POSITIVE)
+    def test_ilp_must_be_finite_and_positive(self, ilp):
+        with pytest.raises(ValueError, match="ilp must be finite and positive"):
+            SMSimulator(GTX680, ilp=ilp)
+
+    @pytest.mark.parametrize("divergence", _NOT_FINITE_AND_POSITIVE)
+    def test_divergence_must_be_finite_and_positive(self, divergence):
+        with pytest.raises(
+            ValueError, match="divergence must be finite and positive"
+        ):
+            SMSimulator(GTX680, traits=MemoryTraits(divergence=divergence))
 
 
 class TestLatencyHiding:

@@ -131,6 +131,27 @@ class TestRun:
         assert "100" in out
 
 
+    def test_recursive_module_is_rejected(self, tmp_path, capsys):
+        src = tmp_path / "rec.oras"
+        src.write_text(
+            """
+            .module rec
+            .kernel k shared=0
+            BB0:
+                CALL f()
+                EXIT
+            .end
+            .func f args=0 returns=0
+            BB0:
+                CALL f()
+                RET
+            .end
+            """
+        )
+        assert main(["run", str(src), "--block-size", "2"]) == 1
+        assert "recursive device call: k -> f -> f" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_prints_series(self, asm_file, capsys):
         code = main(
