@@ -137,7 +137,6 @@ def test_bench_matcher_solve_cfd_largest(benchmark, monkeypatch):
             block_size=spec.workload.block_size,
             can_tune=spec.workload.can_tune,
         ),
-        jobs=1,
         use_cache=False,
     )
     cost = max(seen, key=lambda c: len(c) * len(c[0]))

@@ -1,6 +1,6 @@
 """Compilation-speed smoke test over the full benchmark suite.
 
-Guards the fast-compilation layer three ways:
+Guards the fast-compilation layer two ways:
 
 * the whole ``bench/kernels.py`` suite compiles inside a wall-clock
   budget (the bitset dataflow + incremental colouring rewrite brought a
@@ -8,9 +8,7 @@ Guards the fast-compilation layer three ways:
   magnitude regression, not noise);
 * a second pass over the same inputs is served by the compile cache
   (hit rate > 0, every compile a hit) and returns byte-identical fat
-  binaries;
-* the parallel candidate-realisation path produces bytes identical to
-  the sequential path.
+  binaries.
 
 The measured timings are printed and written under the test's
 ``tmp_path``; they describe one machine, so the tree keeps none.
@@ -48,7 +46,7 @@ def _compile_suite(cache: CompileCache) -> dict[str, bytes]:
     return binaries
 
 
-def test_suite_cold_warm_and_parallel(tmp_path):
+def test_suite_cold_and_warm(tmp_path):
     cache = CompileCache()  # isolated: no disk tier, fresh counters
 
     start = time.perf_counter()
@@ -69,24 +67,10 @@ def test_suite_cold_warm_and_parallel(tmp_path):
     assert cache.stats.hits == len(BENCHMARKS)  # every warm compile hit
     assert warm_seconds < cold_seconds
 
-    # Parallel realization is byte-identical to sequential.  One
-    # upward-tuning benchmark exercises the multi-candidate pool path.
-    spec = BENCHMARKS["srad"]
-    module = spec.build()
-    kernel = module.kernel().name
-    sequential = compile_binary(
-        module, kernel, _options(spec), jobs=1, use_cache=False
-    )
-    parallel = compile_binary(
-        module, kernel, _options(spec), jobs=4, use_cache=False
-    )
-    assert parallel.to_bytes() == sequential.to_bytes()
-
     timings = (
         f"cold pass: {cold_seconds:.2f}s for {len(BENCHMARKS)} benchmarks\n"
         f"warm pass: {warm_seconds:.2f}s "
-        f"(cache hit rate {100 * cache.stats.hit_rate:.0f}%)\n"
-        f"parallel == sequential bytes: True"
+        f"(cache hit rate {100 * cache.stats.hit_rate:.0f}%)"
     )
     path = tmp_path / "perf_smoke.txt"
     path.write_text(timings + "\n")

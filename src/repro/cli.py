@@ -175,7 +175,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         module,
         kernel,
         CompileOptions(**options),
-        jobs=args.jobs,
         use_cache=not args.no_cache,
         verify=args.verify,
     )
@@ -640,7 +639,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port_file=args.port_file,
             max_pending=args.max_pending,
             request_timeout=args.request_timeout,
-            jobs=args.jobs,
             http_port=args.http_port,
             cluster=cluster,
             log_file=args.log_file,
@@ -918,9 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-versions", type=int, default=5)
     p.add_argument("--no-tune", action="store_true",
                    help="force static selection (no runtime tuning)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for candidate realization "
-                        "(default: $ORION_COMPILE_JOBS or 1)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed compile cache")
     p.add_argument("--verify", action="store_true",
@@ -1150,8 +1145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--request-timeout", type=float, default=30.0,
                    help="per-request tuning deadline in seconds "
                         "(default: 30)")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="concurrent tuning workers (default: 2)")
     p.add_argument("--http-port", type=int, default=None, metavar="PORT",
                    help="also serve GET /metrics (Prometheus), "
                         "GET /healthz and GET /debug/* on this HTTP "

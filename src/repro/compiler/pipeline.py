@@ -47,8 +47,7 @@ class CompileOptions:
     """Knobs of one compilation.
 
     Every field is part of the compile-cache key (the frozen repr is
-    the fingerprint); worker count deliberately is not, so it lives in
-    the ``jobs`` argument of :func:`compile_binary` instead.
+    the fingerprint).
 
     ``strategy`` names an allocation strategy (where spilled registers
     live — see :mod:`repro.regalloc.strategy`) or ``"mixed"`` to
@@ -79,7 +78,6 @@ def compile_binary(
     data: bytes | Module,
     kernel_name: str,
     options: CompileOptions,
-    jobs: int | None = None,
     use_cache: bool = True,
     cache: CompileCache | None = None,
     verify: bool = False,
@@ -88,14 +86,11 @@ def compile_binary(
 
     ``use_cache=False`` always runs the middle end (the pre-cache
     behaviour); otherwise ``cache`` (default: the process-wide
-    :func:`repro.perf.default_cache`) is consulted first.  ``jobs``
-    parallelises candidate realisation — see
-    :func:`repro.compiler.tuning.compile_time_tuning`; it never changes
-    the output bytes, which is why it is not part of the cache key.
+    :func:`repro.perf.default_cache`) is consulted first.
     ``verify`` gates the result (cache hits included) through
     :func:`verify_binary` — the allocation-soundness checks on every
-    realized version, at every target occupancy.  Like ``jobs`` it never
-    changes the output bytes, so it is not part of the cache key either.
+    realized version, at every target occupancy.  It never changes the
+    output bytes, so it is not part of the cache key.
     """
     if cache is None and use_cache:
         cache = default_cache()
@@ -132,7 +127,6 @@ def compile_binary(
             can_tune=options.can_tune,
             cache_config=options.cache_config,
             max_versions=options.max_versions,
-            jobs=jobs,
             strategies=strategy_ids(options.strategy),
         )
     with span("pack", kernel=kernel_name):

@@ -22,7 +22,6 @@ candidate kernel versions the runtime then trials:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.arch.occupancy import occupancy_levels
@@ -54,12 +53,7 @@ from repro.regalloc.strategy import (
 def _count_realization(
     kernel_name: str, version, strategy: str = DEFAULT_STRATEGY_ID
 ) -> None:
-    """One candidate realization attempt, by outcome and strategy.
-
-    The parallel path counts in the parent after gathering futures —
-    counters incremented inside worker processes would be lost with the
-    process.
-    """
+    """One candidate realization attempt, by outcome and strategy."""
     from repro.obs.metrics import get_registry
 
     get_registry().counter(
@@ -177,18 +171,9 @@ def compile_time_tuning(
     can_tune: bool = True,
     cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
     max_versions: int = 5,
-    jobs: int | None = None,
     strategies: tuple[str, ...] | None = None,
 ) -> TuningPlan:
     """Fig. 8: produce the candidate kernel-version set.
-
-    ``jobs`` realises independent occupancy candidates in parallel
-    worker processes (``None`` reads ``ORION_COMPILE_JOBS``, default 1).
-    Parallelism never changes the plan: ``versions[0]`` is still the
-    original, candidates keep their occupancy order, and the resulting
-    binaries are byte-identical to a sequential compile — workers are
-    gathered in submission order and any pool failure falls back to the
-    sequential path.
 
     ``strategies`` enumerates candidates per allocation strategy ×
     occupancy level (upward direction); ``None`` means the reference
@@ -238,7 +223,6 @@ def compile_time_tuning(
                     block_size,
                     targets,
                     cache_config,
-                    _resolve_jobs(jobs),
                     strategy=sid,
                 )
             )
@@ -315,52 +299,6 @@ def compile_time_tuning(
     return plan
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    """Effective worker count: explicit arg, else ``ORION_COMPILE_JOBS``."""
-    if jobs is None:
-        raw = os.environ.get("ORION_COMPILE_JOBS", "")
-        try:
-            jobs = int(raw) if raw else 1
-        except ValueError:
-            jobs = 1
-    return max(1, jobs)
-
-
-def _realize_one(
-    module: Module,
-    kernel_name: str,
-    arch: GpuArchitecture,
-    block_size: int,
-    warps: int,
-    cache_config: CacheConfig,
-    strategy: str = DEFAULT_STRATEGY_ID,
-) -> KernelVersion | None:
-    """One conservative candidate, or ``None`` when unrealisable.
-
-    Module-level (picklable, strategy passed by id) so it can run in a
-    worker process; failures come back as values rather than exceptions
-    to keep the RealizeError semantics identical across transports.
-    Non-default strategies are tagged in the label so every candidate in
-    a mixed plan stays uniquely addressable (warm starts and the tuner
-    both key on labels).
-    """
-    suffix = "" if strategy == DEFAULT_STRATEGY_ID else f" [{strategy}]"
-    try:
-        return realize_occupancy(
-            module,
-            kernel_name,
-            arch,
-            block_size,
-            warps,
-            cache_config,
-            conservative=True,
-            label=f"conservative warps={warps}{suffix}",
-            strategy=strategy,
-        )
-    except RealizeError:
-        return None
-
-
 def _realize_targets(
     module: Module,
     kernel_name: str,
@@ -368,89 +306,36 @@ def _realize_targets(
     block_size: int,
     targets: list[int],
     cache_config: CacheConfig,
-    jobs: int,
     strategy: str = DEFAULT_STRATEGY_ID,
 ) -> list[KernelVersion]:
-    """Realise each target level, in parallel when ``jobs > 1``.
+    """One conservative candidate per realisable target level, in order.
 
-    Candidates are independent compiles of the same input module, so the
-    only ordering requirement is that results come back in target order;
-    gathering futures in submission order guarantees that.  Any pool
-    failure (no fork support, pickling, resource limits) silently falls
-    back to the sequential loop, which is also the ``jobs == 1`` path.
+    Non-default strategies are tagged in the label so every candidate in
+    a mixed plan stays uniquely addressable (warm starts and the tuner
+    both key on labels).
     """
-    if jobs > 1 and len(targets) > 1:
-        try:
-            with span(
-                "realize_batch", kernel=kernel_name, targets=len(targets)
-            ):
-                return _realize_parallel(
+    suffix = "" if strategy == DEFAULT_STRATEGY_ID else f" [{strategy}]"
+    versions = []
+    for warps in targets:
+        with span("realize", kernel=kernel_name, warps=warps):
+            try:
+                version = realize_occupancy(
                     module,
                     kernel_name,
                     arch,
                     block_size,
-                    targets,
+                    warps,
                     cache_config,
-                    jobs,
-                    strategy,
+                    conservative=True,
+                    label=f"conservative warps={warps}{suffix}",
+                    strategy=strategy,
                 )
-        except Exception:
-            pass  # fall through to the sequential path
-    versions = []
-    for warps in targets:
-        with span("realize", kernel=kernel_name, warps=warps):
-            version = _realize_one(
-                module,
-                kernel_name,
-                arch,
-                block_size,
-                warps,
-                cache_config,
-                strategy,
-            )
+            except RealizeError:
+                version = None
         _count_realization(kernel_name, version, strategy)
         if version is not None:
             versions.append(version)
     return versions
-
-
-def _realize_parallel(
-    module: Module,
-    kernel_name: str,
-    arch: GpuArchitecture,
-    block_size: int,
-    targets: list[int],
-    cache_config: CacheConfig,
-    jobs: int,
-    strategy: str = DEFAULT_STRATEGY_ID,
-) -> list[KernelVersion]:
-    import concurrent.futures
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    else:  # pragma: no cover - platform without fork
-        context = multiprocessing.get_context()
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(targets)), mp_context=context
-    ) as pool:
-        futures = [
-            pool.submit(
-                _realize_one,
-                module,
-                kernel_name,
-                arch,
-                block_size,
-                warps,
-                cache_config,
-                strategy,
-            )
-            for warps in targets
-        ]
-        results = [future.result() for future in futures]
-    for version in results:
-        _count_realization(kernel_name, version, strategy)
-    return [version for version in results if version is not None]
 
 
 def _thin(targets: list[int], limit: int) -> list[int]:

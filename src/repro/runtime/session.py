@@ -40,6 +40,21 @@ class Workload:
     def __post_init__(self) -> None:
         if not 0 < self.ilp < math.inf:
             raise ValueError(f"ilp must be finite and positive, got {self.ilp!r}")
+        for name, value in (
+            ("iterations", self.iterations),
+            ("max_events_per_warp", self.max_events_per_warp),
+            ("grid_blocks", self.launch.grid_blocks),
+            ("block_size", self.launch.block_size),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        # An empty profile is allowed: work_at reads it as 1.0.
+        for work in self.work_profile or ():
+            if not 0 < work < math.inf:
+                raise ValueError(
+                    f"work_profile entries must be finite and positive, "
+                    f"got {work!r}"
+                )
 
     def work_at(self, iteration: int) -> float:
         if not self.work_profile:

@@ -120,6 +120,11 @@ _LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0)
 _SYNC_ATTEMPTS = 3
 _SYNC_RETRY_DELAY = 0.2
 
+#: threads driving the engine.  Measured on timing-backend rings, one
+#: worker was not better on every metric, and worse on the median
+#: request (docs/performance.md, "Tune workers").
+_TUNE_WORKERS = 2
+
 
 @dataclass
 class DaemonConfig:
@@ -131,7 +136,6 @@ class DaemonConfig:
     max_pending: int = 8  # admission bound on queued-or-running tunes
     request_timeout: float = 30.0  # seconds before a tune answers timeout
     retry_after: float = 0.05  # backpressure hint on queue-full rejections
-    jobs: int = 2  # worker threads driving the engine
     http_port: int | None = None  # /metrics + /healthz sidecar (None: off)
     cluster: ClusterConfig | None = field(default=None)  # --ring membership
     log_file: str | os.PathLike | None = None  # structured JSONL log
@@ -158,6 +162,8 @@ def workload_from_payload(payload: dict) -> Workload:
         raise ValueError("workload.traits must be an object")
     work_profile = payload.get("work_profile")
     if work_profile is not None:
+        if not isinstance(work_profile, list):
+            raise ValueError("workload.work_profile must be a list")
         work_profile = [float(w) for w in work_profile]
     return Workload(
         launch=launch,
@@ -202,7 +208,7 @@ class TuningDaemon:
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, self.config.jobs),
+            max_workers=_TUNE_WORKERS,
             thread_name_prefix="orion-tune",
         )
         # Store calls fsync and contend for a cross-process file lock, so
@@ -1021,7 +1027,7 @@ class TuningDaemon:
             "pending": self._pending,
             "max_pending": self.config.max_pending,
             "inflight_keys": len(self._inflight),
-            "jobs": self.config.jobs,
+            "jobs": _TUNE_WORKERS,
             "request_timeout": self.config.request_timeout,
             "arch": self.engine.arch.name,
             "backend": self.engine.backend.name,

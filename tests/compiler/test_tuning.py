@@ -100,33 +100,46 @@ class TestDirectionAndCandidates:
         assert plan.failsafe == []
 
 
-class TestParallelRealization:
-    def test_parallel_plan_matches_sequential(self):
-        module = pressure_module()
-        sequential = compile_time_tuning(module, "k", GTX680, 256, jobs=1)
-        parallel = compile_time_tuning(module, "k", GTX680, 256, jobs=2)
-        assert [v.label for v in sequential.versions] == [
-            v.label for v in parallel.versions
-        ]
-        assert [v.binary for v in sequential.versions] == [
-            v.binary for v in parallel.versions
-        ]
-        assert [v.binary for v in sequential.failsafe] == [
-            v.binary for v in parallel.failsafe
-        ]
+class TestEnvironmentIndependence:
+    def test_metrics_and_spans_ignore_the_environment(self, monkeypatch):
+        """A compile realises its candidates in this process, whatever
+        the environment says, so every allocation reaches the metrics
+        registry and every candidate gets its own ``realize`` span.
+        ``ORION_COMPILE_JOBS`` stands for any variable that might select
+        another path."""
+        from repro.bench.kernels import BENCHMARKS
+        from repro.obs.metrics import get_registry, reset_registry
+        from repro.obs.spans import span_timings
 
-    def test_jobs_env_var(self, monkeypatch):
-        from repro.compiler.tuning import _resolve_jobs
+        spec = BENCHMARKS["cfd"]
+        module = spec.build()
+        options = CompileOptions(
+            arch=GTX680,
+            block_size=spec.workload.block_size,
+            can_tune=spec.workload.can_tune,
+            strategy="local-spill",  # the counts below are this strategy's
+        )
+
+        def compile_and_count():
+            reset_registry()
+            binary = compile_binary(
+                module, module.kernel().name, options, use_cache=False
+            )
+            samples = {
+                family["name"]: [s["value"] for s in family["samples"]]
+                for family in get_registry().snapshot()["metrics"]
+            }
+            return binary.to_bytes(), samples, span_timings()
 
         monkeypatch.delenv("ORION_COMPILE_JOBS", raising=False)
-        assert _resolve_jobs(None) == 1
-        assert _resolve_jobs(3) == 3
-        assert _resolve_jobs(0) == 1  # clamped
-        monkeypatch.setenv("ORION_COMPILE_JOBS", "4")
-        assert _resolve_jobs(None) == 4
-        assert _resolve_jobs(2) == 2  # explicit argument wins
-        monkeypatch.setenv("ORION_COMPILE_JOBS", "junk")
-        assert _resolve_jobs(None) == 1
+        plain, _, _ = compile_and_count()
+        monkeypatch.setenv("ORION_COMPILE_JOBS", "2")
+        data, samples, timings = compile_and_count()
+        assert timings["realize"]["calls"] == 4
+        assert "realize_batch" not in timings
+        assert samples["orion_allocator_spilled_variables_total"] == [108]
+        assert samples["orion_allocator_smem_spill_slots_total"] == [29]
+        assert data == plain
 
 
 class TestStaticSelectHeuristic:

@@ -265,7 +265,6 @@ def test_benchmark_compiles_match_the_general_solver(monkeypatch):
                 block_size=spec.workload.block_size,
                 can_tune=spec.workload.can_tune,
             ),
-            jobs=1,
             use_cache=False,
         )
     assert calls and all(calls)  # the search answered every call

@@ -78,6 +78,40 @@ class TestWorkloadProfile:
         workload = Workload(launch=LaunchConfig(grid_blocks=8))
         assert workload.work_at(7) == 1.0
 
+    def test_empty_profile_means_unit_work(self):
+        workload = Workload(launch=LaunchConfig(grid_blocks=8), work_profile=[])
+        assert workload.work_at(3) == 1.0
+
+    @pytest.mark.parametrize("work", [0.0, -1.0, float("nan"), float("inf")])
+    def test_profile_entries_must_be_finite_and_positive(self, work):
+        with pytest.raises(
+            ValueError, match="work_profile entries must be finite and positive"
+        ):
+            Workload(launch=LaunchConfig(grid_blocks=8), work_profile=[1.0, work])
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("iterations", 0),
+        ("iterations", -3),
+        ("max_events_per_warp", 0),
+        ("grid_blocks", 0),
+        ("grid_blocks", -2),
+        ("block_size", 0),
+    ],
+)
+def test_workload_counts_must_be_at_least_one(name, value):
+    """An out-of-range count would run another workload than the one
+    asked for: iterations 0 would be split into a tune of several
+    iterations, and grid_blocks 0 would still launch blocks."""
+    if name in ("grid_blocks", "block_size"):
+        launch, fields = LaunchConfig(**{name: value}), {}
+    else:
+        launch, fields = LaunchConfig(grid_blocks=8), {name: value}
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        Workload(launch=launch, **fields)
+
 
 class TestEndToEnd:
     def test_varying_grid_still_converges(self):

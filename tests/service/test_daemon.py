@@ -253,6 +253,19 @@ _INVALID_WORKLOADS = [
     ({"traits": {"divergence": -1.0}}, "divergence must be finite and positive"),
     ({"traits": {"divergence": float("nan")}}, "divergence must be finite and positive"),
     ({"traits": {"divergence": 0.0}}, "divergence must be finite and positive"),
+    ({"iterations": 0}, "iterations must be at least 1"),
+    ({"iterations": -3}, "iterations must be at least 1"),
+    ({"max_events_per_warp": 0}, "max_events_per_warp must be at least 1"),
+    ({"grid_blocks": 0}, "grid_blocks must be at least 1"),
+    ({"grid_blocks": -2}, "grid_blocks must be at least 1"),
+    ({"block_size": 0}, "block_size must be at least 1"),
+    ({"work_profile": [0]}, "work_profile entries must be finite and positive"),
+    ({"work_profile": [-1]}, "work_profile entries must be finite and positive"),
+    (
+        {"work_profile": [float("nan")]},
+        "work_profile entries must be finite and positive",
+    ),
+    ({"work_profile": "25"}, "work_profile must be a list"),
 ]
 
 
@@ -262,6 +275,9 @@ _INVALID_WORKLOADS = [
     ids=[
         "ilp-nan", "ilp-zero", "ilp-inf",
         "divergence-negative", "divergence-nan", "divergence-zero",
+        "iterations-zero", "iterations-negative", "max-events-zero",
+        "grid-zero", "grid-negative", "block-size-zero",
+        "work-zero", "work-negative", "work-nan", "work-not-a-list",
     ],
 )
 def test_workload_from_payload_rejects_invalid_simulator_parameters(
@@ -323,8 +339,9 @@ class TestDaemonRobustness:
     def test_invalid_simulator_parameters_are_bad_requests(
         self, tmp_path, binary, monkeypatch
     ):
-        """A NaN or non-positive ILP or divergence (JSON carries NaN and
-        Infinity) is refused before the daemon keys or tunes."""
+        """A NaN or non-positive ILP, divergence or work entry (JSON
+        carries NaN and Infinity), or a count below one, is refused
+        before the daemon keys or tunes."""
         keyed = []
         original_key = daemon_module.tuning_key
 
@@ -443,6 +460,7 @@ class TestDaemonRobustness:
             assert stats["daemon"]["pending"] == 0
             assert stats["daemon"]["arch"] == GTX680.name
             assert stats["daemon"]["backend"] == "timing"
+            assert stats["daemon"]["jobs"] == 2  # the fixed tune workers
 
 
 class TestShutdownDrain:

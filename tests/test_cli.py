@@ -78,8 +78,6 @@ class TestCompileInspect:
                 str(call_asm_file),
                 "-o",
                 str(fast),
-                "--jobs",
-                "2",
                 "--timings",
             ]
         )
@@ -87,7 +85,7 @@ class TestCompileInspect:
         stdout = capsys.readouterr().out
         assert "Compilation phases" in stdout
         assert "compile cache:" in stdout
-        # Cache, jobs, and timing report never change the output bytes.
+        # Neither the cache nor the timing report changes the output bytes.
         assert fast.read_bytes() == plain.read_bytes()
 
     def test_compile_accepts_binary_input(self, asm_file, tmp_path, capsys):

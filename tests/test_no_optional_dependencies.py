@@ -40,7 +40,6 @@ for name in ("cfd", "heartwall", "srad"):
             block_size=spec.workload.block_size,
             can_tune=spec.workload.can_tune,
         ),
-        jobs=1,
         use_cache=False,
     ).to_bytes()
 wl = BENCHMARKS["srad"].workload
