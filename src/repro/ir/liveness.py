@@ -18,8 +18,9 @@ per-block use/def/live sets are single ints, and the fixpoint is a
 proper worklist (only predecessors of blocks whose live-in changed are
 revisited).  The public :class:`LivenessInfo` API still speaks
 ``set[Reg]`` — the masks are materialised once, after the fixpoint —
-so downstream consumers (interference, SSA pruning, the compressible
-stack) are untouched.
+so downstream consumers (interference, SSA pruning) are untouched.  The
+compressible stack reads only the call-site sets, through
+:func:`live_across_calls`.
 """
 
 from __future__ import annotations
@@ -289,6 +290,14 @@ def _scan_points(
                 live &= ~d
         return live
 
+    for site, across in _live_across_masks(fn, numbering, live_out).items():
+        info.live_across_calls[site] = numbering.materialize(across)
+        info.copy_live_across_calls[site] = (
+            numbering.materialize(shared(across))
+            if copies
+            else info.live_across_calls[site]
+        )
+
     max_live = copy_max_live = 0
     for label in cfg.rpo:
         block = fn.blocks[label]
@@ -299,20 +308,6 @@ def _scan_points(
             copy_max_live = max(copy_max_live, numbering.slots(shared(live)))
         for idx in range(len(block.instructions) - 1, -1, -1):
             inst = block.instructions[idx]
-            if inst.is_call:
-                # Variables live *across* the call: live after it, minus
-                # the call's own result.  These are the slots the
-                # compressible stack must preserve (Theorem 1's L_ik).
-                across = live
-                for reg in inst.regs_written():
-                    across &= ~bit(reg)
-                site = (label, idx)
-                info.live_across_calls[site] = numbering.materialize(across)
-                info.copy_live_across_calls[site] = (
-                    numbering.materialize(shared(across))
-                    if copies
-                    else info.live_across_calls[site]
-                )
             for reg in inst.regs_written():
                 b = bit(reg)
                 if live & b:
@@ -332,6 +327,47 @@ def _scan_points(
                 )
     info.max_live = max_live
     info.copy_max_live = copy_max_live
+
+
+def _live_across_masks(
+    fn: Function, numbering: _RegNumbering, live_out: dict[str, int]
+) -> dict[tuple[str, int], int]:
+    """Registers live *across* each call site, as masks.
+
+    Live across a call means live after it, minus the call's own
+    result: the slots the compressible stack must preserve (Theorem 1's
+    ``L_ik``).  Only blocks holding a call are walked, and each only
+    from its end back to its first call.
+    """
+    across: dict[tuple[str, int], int] = {}
+    for label, masks in numbering.inst_masks.items():
+        insts = fn.blocks[label].instructions
+        first = next((i for i, inst in enumerate(insts) if inst.is_call), None)
+        if first is None:
+            continue
+        live = live_out[label]
+        for idx in range(len(insts) - 1, first - 1, -1):
+            def_bit, read_mask, _, is_phi = masks[idx]
+            if def_bit >= 0:
+                live &= ~(1 << def_bit)
+            if insts[idx].is_call:
+                across[(label, idx)] = live
+            if not is_phi:
+                live |= read_mask
+    return across
+
+
+def live_across_calls(fn: Function) -> dict[tuple[str, int], set[Reg]]:
+    """Registers live across each call site: ``(block, index) -> set``.
+
+    The ``live_across_calls`` of :func:`analyze_liveness` without the
+    rest of :class:`LivenessInfo` (no max-live scan, no per-block sets).
+    """
+    numbering, _, live_out, _, _ = analyze_liveness_masks(fn, CFG(fn))
+    return {
+        site: numbering.materialize(mask)
+        for site, mask in _live_across_masks(fn, numbering, live_out).items()
+    }
 
 
 def max_live(fn: Function) -> int:

@@ -289,123 +289,202 @@ class _Verifier:
         footprint overlaps a *different* live value destroys data some
         path still reads — the defining miscompile of a register
         allocator — so every hit is an error.
+
+        The values are numbered and the analysis runs over bitmasks:
+        :meth:`_storage_steps` records each instruction's kill and gen
+        masks, each block folds its steps into one gen/kill summary for
+        the fixpoint, and the reporting walk tests each write against
+        the precomputed mask of the values it overlaps.  One write that
+        clobbers several values reports them in numbering order.
         """
         cfg = CFG(fn)
-        live_in: dict[str, set] = {label: set() for label in cfg.rpo}
+        labels = cfg.rpo
+        succs = cfg.succs
+        values, steps = self._storage_steps(fn, labels)
+        summaries: dict[str, tuple[int, int]] = {}
+        for label in labels:
+            gen = kill = 0
+            for _, step_kill, step_gen, _, _ in reversed(steps[label]):
+                gen = step_gen | (gen & ~step_kill)
+                kill |= step_kill
+            summaries[label] = (gen, kill)
+        live_in = dict.fromkeys(labels, 0)
         changed = True
         while changed:
             changed = False
-            for label in reversed(cfg.rpo):
-                live_out: set = set()
-                for succ in cfg.succs[label]:
+            for label in reversed(labels):
+                live_out = 0
+                for succ in succs[label]:
                     live_out |= live_in[succ]
-                new_in = self._walk_block(
-                    fn, fn.blocks[label], live_out, report=False
-                )
+                gen, kill = summaries[label]
+                new_in = gen | (live_out & ~kill)
                 if new_in != live_in[label]:
                     live_in[label] = new_in
                     changed = True
-        for label in cfg.rpo:
-            live_out = set()
-            for succ in cfg.succs[label]:
-                live_out |= live_in[succ]
-            self._walk_block(fn, fn.blocks[label], live_out, report=True)
+        for label in labels:
+            live = 0
+            for succ in succs[label]:
+                live |= live_in[succ]
+            for index, kill, gen, overlap, subject in reversed(steps[label]):
+                live &= ~kill
+                if live & overlap:
+                    self._report_clobbers(
+                        fn, label, index, subject, live & overlap, values
+                    )
+                live |= gen
 
-    def _walk_block(
-        self, fn: Function, block, live_out: set, report: bool
-    ) -> set:
-        """One backward pass over a block; returns the live-in set."""
-        live = set(live_out)
-        insts = block.instructions
-        for index in range(len(insts) - 1, -1, -1):
-            inst = insts[index]
-            if inst.is_call and not inst.srcs and inst.dst is None:
-                self._step_frame_call(
-                    fn, block.label, index, inst, insts, live, report
-                )
+    def _storage_steps(
+        self, fn: Function, labels: list[str]
+    ) -> tuple[list, dict[str, list[list]]]:
+        """Number ``fn``'s storage values and record its liveness steps.
+
+        Returns ``(values, steps)``.  ``values[i]`` is the value of bit
+        ``i``, numbered in order of first appearance over ``labels``.
+        ``steps[label]`` holds, for each instruction that touches
+        tracked storage, ``[index, kill, gen, overlap, subject]``: the
+        values it defines and reads, the values its write would clobber
+        (or, for a frame-ABI call, the live values the callee's window
+        would), and what a clobber report names — the written
+        ``(register, memory value)`` pair, or the callee.
+        """
+        # Registers are keyed by (index, width), memory ranges by their
+        # own tuple: both hash and compare without a Python-level call.
+        numbers: dict[tuple, int] = {}
+        values: list = []
+
+        def bit(key: tuple, value) -> int:
+            i = numbers.get(key)
+            if i is None:
+                i = numbers[key] = len(values)
+                values.append(value)
+            return 1 << i
+
+        functions = self.module.functions
+        steps: dict[str, list[list]] = {}
+        checked: list[list] = []  # the steps that write or call
+        for label in labels:
+            insts = fn.blocks[label].instructions
+            block_steps: list[list] = []
+            steps[label] = block_steps
+            for index, inst in enumerate(insts):
+                op = inst.opcode
+                if op is Opcode.CALL and not inst.srcs and inst.dst is None:
+                    # A frame-ABI call kills its result and uses its
+                    # argument slots.
+                    callee = functions.get(inst.callee or "")
+                    if callee is None:
+                        continue
+                    base = self._frame_bases.get(callee.name, 0)
+                    kill = 0
+                    # The result fetch — a MOV from the callee's base
+                    # slot placed immediately after the call — reads a
+                    # value the call defines.
+                    nxt = insts[index + 1] if index + 1 < len(insts) else None
+                    if (
+                        nxt is not None
+                        and nxt.opcode is Opcode.MOV
+                        and nxt.srcs
+                        and isinstance(nxt.srcs[0], PhysReg)
+                        and nxt.srcs[0].index == base
+                    ):
+                        fetched = nxt.srcs[0]
+                        kill = bit((base, fetched.width), fetched)
+                    gen = 0
+                    for i in range(base, base + callee.num_args):
+                        gen |= bit((i, 1), PhysReg(i, 1))
+                    step = [index, kill, gen, 0, callee]
+                    block_steps.append(step)
+                    checked.append(step)
+                    continue
+                kill = gen = 0
+                dst = inst.dst
+                if isinstance(dst, PhysReg):
+                    kill = bit((dst.index, dst.width), dst)
+                else:
+                    dst = None
+                stored = None
+                if op is Opcode.ST or op is Opcode.LD:
+                    mem = self._static_memory_value(inst)
+                    if mem is not None:
+                        if op is Opcode.ST:
+                            stored = mem
+                            kill |= bit(mem, mem)
+                        else:
+                            gen = bit(mem, mem)
+                for reg in inst.regs_read() if op is Opcode.PHI else inst.srcs:
+                    if isinstance(reg, PhysReg):
+                        gen |= bit((reg.index, reg.width), reg)
+                if kill or gen:
+                    step = [index, kill, gen, 0, (dst, stored)]
+                    block_steps.append(step)
+                    if kill:
+                        checked.append(step)
+
+        # Each cell — a register slot, or a byte of a memory space — maps
+        # to the mask of the values covering it.
+        cells: dict = {}
+        for i, value in enumerate(values):
+            for cell in _cells(value):
+                cells[cell] = cells.get(cell, 0) | (1 << i)
+
+        def overlap(key: tuple, value) -> int:
+            mask = 0
+            for cell in _cells(value):
+                mask |= cells[cell]
+            return mask & ~(1 << numbers[key])
+
+        windows: dict[str, int] = {}
+        for step in checked:
+            subject = step[4]
+            if isinstance(subject, Function):
+                mask = windows.get(subject.name)
+                if mask is None:
+                    mask = 0
+                    for slot in self._frame_windows.get(subject.name, ()):
+                        mask |= cells.get(slot, 0)
+                    windows[subject.name] = mask
+                step[3] = mask
                 continue
-            dst = inst.dst
-            if isinstance(dst, PhysReg):
-                if report:
-                    dslots = set(dst.slots)
-                    for value in live:
-                        if (
-                            isinstance(value, PhysReg)
-                            and value != dst
-                            and dslots.intersection(value.slots)
-                        ):
-                            self.report(
-                                fn, block.label, index,
-                                f"write to {dst} clobbers {value}, which is "
-                                "still live in the overlapping slot(s)",
-                            )
-                live.discard(dst)
-            mem = self._static_memory_value(inst)
-            if mem is not None and inst.opcode is Opcode.ST:
-                if report:
-                    for value in live:
-                        if (
-                            isinstance(value, tuple)
-                            and value != mem
-                            and self._mem_overlaps(value, mem)
-                        ):
-                            self.report(
-                                fn, block.label, index,
-                                f"store to {self._describe(mem)} clobbers "
-                                f"live value {self._describe(value)}",
-                            )
-                live.discard(mem)
-            for reg in inst.regs_read():
-                if isinstance(reg, PhysReg):
-                    live.add(reg)
-            if mem is not None and inst.opcode is Opcode.LD:
-                live.add(mem)
-        return live
+            dst, stored = subject
+            if dst is not None:
+                step[3] = overlap((dst.index, dst.width), dst)
+            if stored is not None:
+                step[3] |= overlap(stored, stored)
+        return values, steps
 
-    def _step_frame_call(
+    def _report_clobbers(
         self,
         fn: Function,
         label: str,
         index: int,
-        inst: Instruction,
-        insts: list[Instruction],
-        live: set,
-        report: bool,
+        subject,
+        hits: int,
+        values: list,
     ) -> None:
-        """Model a frame-ABI call: kill its result, use its argument
-        slots, and require live values to stay clear of the callee's
-        register window (the compressible-stack disjointness invariant).
-        """
-        callee_fn = self.module.functions.get(inst.callee or "")
-        if callee_fn is None:
-            return
-        base = self._frame_bases.get(callee_fn.name, 0)
-        window = self._frame_windows.get(callee_fn.name, set())
-        # The result fetch — a MOV from the callee's base slot placed
-        # immediately after the call — reads a value the call defines.
-        nxt = insts[index + 1] if index + 1 < len(insts) else None
-        if (
-            nxt is not None
-            and nxt.opcode is Opcode.MOV
-            and nxt.srcs
-            and isinstance(nxt.srcs[0], PhysReg)
-            and nxt.srcs[0].index == base
-        ):
-            live.discard(nxt.srcs[0])
-        if report:
-            for value in live:
-                if isinstance(value, PhysReg) and window.intersection(
-                    value.slots
-                ):
-                    self.report(
-                        fn, label, index,
-                        f"{value} is live across the call to "
-                        f"{callee_fn.name!r} but overlaps the callee's "
-                        f"register window (base slot {base}); it must be "
-                        "saved below the compressed stack height",
-                    )
-        for i in range(callee_fn.num_args):
-            live.add(PhysReg(base + i, 1))
+        """Report each live value in ``hits``, in numbering order."""
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            value = values[low.bit_length() - 1]
+            if isinstance(subject, Function):
+                message = (
+                    f"{value} is live across the call to "
+                    f"{subject.name!r} but overlaps the callee's "
+                    f"register window (base slot "
+                    f"{self._frame_bases.get(subject.name, 0)}); it must be "
+                    "saved below the compressed stack height"
+                )
+            elif isinstance(value, PhysReg):
+                message = (
+                    f"write to {subject[0]} clobbers {value}, which is "
+                    "still live in the overlapping slot(s)"
+                )
+            else:
+                message = (
+                    f"store to {self._describe(subject[1])} clobbers "
+                    f"live value {self._describe(value)}"
+                )
+            self.report(fn, label, index, message)
 
     @staticmethod
     def _static_memory_value(inst: Instruction):
@@ -428,10 +507,6 @@ class _Verifier:
             return None
         assert inst.space is not None
         return ("mem", inst.space.value, inst.offset, 4 * width)
-
-    @staticmethod
-    def _mem_overlaps(a: tuple, b: tuple) -> bool:
-        return a[1] == b[1] and a[2] < b[2] + b[3] and b[2] < a[2] + a[3]
 
     @staticmethod
     def _describe(value) -> str:
@@ -551,6 +626,15 @@ class _Verifier:
             and len(inst.srcs) == 1
             and inst.srcs[0] == src
         )
+
+
+def _cells(value) -> range | list[tuple[str, int]]:
+    """The storage cells a value covers: its register slots, or the
+    bytes of its memory range tagged with their space."""
+    if isinstance(value, PhysReg):
+        return value.slots
+    _, space, offset, nbytes = value
+    return [(space, byte) for byte in range(offset, offset + nbytes)]
 
 
 def verify_module(

@@ -179,7 +179,7 @@ def allocate_module(
             )
         except StackError as exc:
             raise BudgetError(str(exc)) from exc
-        if plan.registers_per_thread <= reg_budget:
+        if plan.total_slots <= reg_budget:
             break
         # Over budget: shrink the deepest offenders and retry.  When a
         # function's *base* alone exceeds the budget (deep call chains
@@ -245,7 +245,7 @@ def allocate_module(
     return AllocationOutcome(
         module=work,
         kernel_name=kernel_name,
-        registers_per_thread=plan.registers_per_thread,
+        registers_per_thread=plan.total_slots,
         shared_bytes_per_block=work.functions[kernel_name].shared_bytes
         + shared_extra,
         local_bytes_per_thread=total_local,

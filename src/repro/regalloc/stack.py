@@ -35,11 +35,12 @@ interpreter): arguments are copied into the callee's first slots
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.ir.callgraph import CallGraph
-from repro.ir.function import Function, Module
-from repro.ir.liveness import analyze_liveness
+from repro.ir.function import Module
+from repro.ir.liveness import analyze_liveness, live_across_calls
 from repro.isa.instructions import Imm, Instruction, Opcode, Operand, mov
 from repro.isa.registers import (
     PhysReg,
@@ -137,60 +138,89 @@ def movement_weight(
     )
 
 
+def movement_row(
+    cluster: Cluster,
+    positions: list[int],
+    live: list[bool],
+    heights: list[int],
+) -> list[int]:
+    """:func:`movement_weight` at each of ``positions``, by bisection.
+
+    The sites that charge a position are the live ones whose B_k its
+    top slot reaches, so the weight is ``width`` times the count of
+    live heights at most ``position + width - 1``: one sort, then one
+    bisection per position instead of a pass over every site.
+    """
+    live_heights = sorted(bk for bk, is_live in zip(heights, live) if is_live)
+    reach = cluster.width - 1
+    return [
+        cluster.width * bisect_right(live_heights, pos + reach)
+        for pos in positions
+    ]
+
+
 def optimal_layout(
     clusters: list[Cluster],
     liveness: dict[int, list[bool]],
     heights: list[int],
     total_slots: int,
     minimize_movement: bool = True,
+    pinned: dict[int, int] | None = None,
 ) -> dict[int, int]:
     """Choose a home position for every cluster.
 
-    Returns cluster id -> new base slot.  With ``minimize_movement`` off
-    the identity layout is returned (the Fig. 5 ablation).
+    Returns cluster id -> new base slot.  ``pinned`` maps the ids of
+    clusters that must not move to their base.  With
+    ``minimize_movement`` off the identity layout is returned (the
+    Fig. 5 ablation).
     """
-    if not clusters:
-        return {}
-    if not minimize_movement:
+    if not minimize_movement or not clusters:
         return {c.cid: c.base for c in clusters}
-
-    positions = list(range(total_slots))
+    pinned = pinned or {}
     taken = [False] * total_slots
-    layout: dict[int, int] = {}
+    layout = dict(pinned)
+    for cluster in clusters:
+        if cluster.cid in pinned:
+            base = pinned[cluster.cid]
+            for slot in range(base, base + cluster.width):
+                taken[slot] = True
+    free = [c for c in clusters if c.cid not in pinned]
 
     # Wide clusters first: cheapest aligned position, widest first so
     # alignment holes stay available for narrower clusters.
     wide = sorted(
-        (c for c in clusters if c.width > 1),
-        key=lambda c: (-c.width, c.base),
+        (c for c in free if c.width > 1), key=lambda c: (-c.width, c.base)
     )
     for cluster in wide:
-        best: tuple[int, int] | None = None
-        for pos in range(0, total_slots - cluster.width + 1, cluster.alignment):
-            if any(taken[pos : pos + cluster.width]):
-                continue
-            cost = movement_weight(
-                cluster, pos, liveness[cluster.cid], heights
-            )
-            if best is None or cost < best[0]:
-                best = (cost, pos)
-        if best is None:
+        width = cluster.width
+        open_positions = [
+            pos
+            for pos in range(0, total_slots - width + 1, cluster.alignment)
+            if not any(taken[pos : pos + width])
+        ]
+        if not open_positions:
             raise StackError("no aligned position left for wide cluster")
-        layout[cluster.cid] = best[1]
-        for slot in range(best[1], best[1] + cluster.width):
+        costs = movement_row(
+            cluster, open_positions, liveness[cluster.cid], heights
+        )
+        # The first of the cheapest positions.
+        best = open_positions[costs.index(min(costs))]
+        layout[cluster.cid] = best
+        for slot in range(best, best + width):
             taken[slot] = True
 
-    narrow = [c for c in clusters if c.width == 1]
-    free_positions = [p for p in positions if not taken[p]]
+    # Single-slot sets: Kuhn–Munkres over the remaining positions.
+    narrow = [c for c in free if c.width == 1]
     if narrow:
+        free_positions = [p for p in range(total_slots) if not taken[p]]
         if len(narrow) > len(free_positions):
             raise StackError("more slot-sets than positions")
         weights = [
             [
-                -float(
-                    movement_weight(c, pos, liveness[c.cid], heights)
+                -float(w)
+                for w in movement_row(
+                    c, free_positions, liveness[c.cid], heights
                 )
-                for pos in free_positions
             ]
             for c in narrow
         ]
@@ -214,11 +244,20 @@ def count_total_moves(
 
 
 def packed_height(widths_and_alignments: list[tuple[int, int]]) -> int:
-    """Minimal stack height packing values of (width, alignment)."""
+    """Minimal stack height packing values of (width, alignment).
+
+    Values go first-fit, widest first.  Values of width and alignment 1
+    come last, so they fill the lowest holes the others left and then
+    grow the stack: they are counted rather than placed one by one.
+    """
     taken: list[bool] = []
+    singles = 0
     for width, alignment in sorted(
         widths_and_alignments, key=lambda wa: (-wa[0], -wa[1])
     ):
+        if width == 1 and alignment == 1:
+            singles += 1
+            continue
         pos = 0
         while True:
             if len(taken) < pos + width:
@@ -228,7 +267,7 @@ def packed_height(widths_and_alignments: list[tuple[int, int]]) -> int:
                     taken[s] = True
                 break
             pos += 1
-    return len(taken)
+    return len(taken) + max(0, singles - taken.count(False))
 
 
 def kernel_max_live(
@@ -294,12 +333,9 @@ class InterprocResult:
     #: final variable -> absolute slot, per function
     slot_maps: dict[str, dict[Reg, int]]
     plans: dict[str, list[CallSitePlan]]
+    #: registers per thread: every frame, plus the parallel-copy scratch
+    #: slot above each call's arguments
     total_slots: int
-    scratch_slots: int = 0
-
-    @property
-    def registers_per_thread(self) -> int:
-        return self.total_slots + self.scratch_slots
 
     def static_move_count(self) -> int:
         """Save moves across all call sites (restores mirror them)."""
@@ -355,6 +391,17 @@ class _SiteOverflow(Exception):
         self.site = site
 
 
+@dataclass
+class _Site:
+    """One call site's facts before layout."""
+
+    block: str
+    index: int
+    inst: Instruction
+    live_across: set[Reg]
+    min_height: int
+
+
 def _plan_once(
     module: Module,
     kernel_name: str,
@@ -381,34 +428,24 @@ def _plan_once(
             (base + var.width for var, base in coloring.items()), default=0
         )
 
-    liveness_info = {
-        name: analyze_liveness(module.functions[name]) for name in reachable
-    }
-
     # ---- per-function call-site facts (before layout) -----------------
-    @dataclass
-    class _Site:
-        block: str
-        index: int
-        inst: Instruction
-        live_across: set[Reg]
-        min_height: int
-
     sites: dict[str, list[_Site]] = {}
     for name in reachable:
-        fn = module.functions[name]
+        call_sites = callgraph.call_sites[name]
+        if not call_sites:
+            sites[name] = []
+            continue
         coloring = colorings[name]
-        info = liveness_info[name]
+        across = live_across_calls(module.functions[name])
         fn_sites: list[_Site] = []
-        for block, index, inst in callgraph.call_sites[name]:
-            live = {
-                v
-                for v in info.live_across_calls[(block, index)]
-                if v in coloring
-            }
-            arg_vars = {s for s in inst.srcs if isinstance(s, VirtualReg)}
+        for block, index, inst in call_sites:
+            live = {v for v in across[(block, index)] if v in coloring}
             if space_minimization:
-                held = live | {a for a in arg_vars if a in coloring}
+                held = live | {
+                    a
+                    for a in inst.srcs
+                    if isinstance(a, VirtualReg) and a in coloring
+                }
                 height = packed_height(
                     [(v.width, required_alignment(v.width)) for v in held]
                 )
@@ -432,7 +469,6 @@ def _plan_once(
     slot_maps: dict[str, dict[Reg, int]] = {}
     plans: dict[str, list[CallSitePlan]] = {}
     total_slots = 0
-    scratch = 0
 
     for name in reachable:
         fn = module.functions[name]
@@ -441,12 +477,13 @@ def _plan_once(
         heights = [
             bases[s.inst.callee] - bases[name] for s in sites[name]  # type: ignore[index]
         ]
-        live_matrix = {
-            c.cid: [
-                any(v in s.live_across for v in c.vars) for s in sites[name]
-            ]
-            for c in clusters
-        }
+        # L_ik: cluster i is live across site k when any of its
+        # variables is.
+        cluster_of = {v: c.cid for c in clusters for v in c.vars}
+        live_matrix = {c.cid: [False] * len(heights) for c in clusters}
+        for k, site in enumerate(sites[name]):
+            for var in site.live_across:
+                live_matrix[cluster_of[var]][k] = True
         # Pin device-function argument slots: the calling convention
         # places args at relative slots 0..n-1, so the clusters holding
         # them must not move.
@@ -460,7 +497,7 @@ def _plan_once(
                 for v in c.vars
             )
         }
-        layout = _layout_with_pins(
+        layout = optimal_layout(
             clusters,
             live_matrix,
             heights,
@@ -538,58 +575,7 @@ def _plan_once(
         slot_maps=slot_maps,
         plans=plans,
         total_slots=total_slots,
-        scratch_slots=scratch,
     )
-
-
-def _layout_with_pins(
-    clusters: list[Cluster],
-    live_matrix: dict[int, list[bool]],
-    heights: list[int],
-    total_slots: int,
-    minimize_movement: bool,
-    pinned: dict[int, int],
-) -> dict[int, int]:
-    if not minimize_movement or not clusters:
-        return {c.cid: c.base for c in clusters}
-    free = [c for c in clusters if c.cid not in pinned]
-    taken = [False] * total_slots
-    for cid, base in pinned.items():
-        cluster = next(c for c in clusters if c.cid == cid)
-        for slot in range(base, base + cluster.width):
-            taken[slot] = True
-    layout = dict(pinned)
-    # Wide first (greedy aligned), then narrow via Kuhn–Munkres.
-    wide = sorted((c for c in free if c.width > 1), key=lambda c: -c.width)
-    for cluster in wide:
-        best: tuple[int, int] | None = None
-        for pos in range(0, total_slots - cluster.width + 1, cluster.alignment):
-            if any(taken[pos : pos + cluster.width]):
-                continue
-            cost = movement_weight(cluster, pos, live_matrix[cluster.cid], heights)
-            if best is None or cost < best[0]:
-                best = (cost, pos)
-        if best is None:
-            raise StackError("no aligned position left for wide cluster")
-        layout[cluster.cid] = best[1]
-        for slot in range(best[1], best[1] + cluster.width):
-            taken[slot] = True
-    narrow = [c for c in free if c.width == 1]
-    if narrow:
-        free_positions = [p for p in range(total_slots) if not taken[p]]
-        if len(narrow) > len(free_positions):
-            raise StackError("more slot-sets than positions")
-        weights = [
-            [
-                -float(movement_weight(c, pos, live_matrix[c.cid], heights))
-                for pos in free_positions
-            ]
-            for c in narrow
-        ]
-        assignment = max_weight_assignment(weights)
-        for c, col in zip(narrow, assignment):
-            layout[c.cid] = free_positions[col]
-    return layout
 
 
 def _find_free_range(

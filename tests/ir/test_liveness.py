@@ -1,7 +1,16 @@
 """Liveness, max-live, and call-site liveness tests."""
 
+import pytest
+
+from repro.bench.kernels import BENCHMARKS
+from repro.fuzz.generator import generate_module
 from repro.ir.cfg import CFG
-from repro.ir.liveness import analyze_liveness, instruction_liveness, max_live
+from repro.ir.liveness import (
+    analyze_liveness,
+    instruction_liveness,
+    live_across_calls,
+    max_live,
+)
 from repro.isa.registers import VirtualReg
 from tests.helpers import (
     call_kernel,
@@ -112,6 +121,33 @@ class TestCallSiteLiveness:
         for live in info.live_across_calls.values():
             pass  # structural check above suffices; ensure no crash
         assert info.max_live >= 2
+
+
+def _across_from_live_after(fn):
+    """Live across each call from the set-based per-instruction walk:
+    the live-after set minus the call's result."""
+    after = instruction_liveness(fn)
+    return {
+        (label, index): after[(label, index)] - set(inst.regs_written())
+        for label in CFG(fn).rpo
+        for index, inst in enumerate(fn.blocks[label].instructions)
+        if inst.is_call
+    }
+
+
+_CALL_MODULES = {
+    **{name: spec.build for name, spec in BENCHMARKS.items()},
+    **{
+        f"calls-{seed}": (lambda seed=seed: generate_module(seed, "calls"))
+        for seed in range(8)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALL_MODULES))
+def test_live_across_calls_matches_instruction_liveness(name):
+    for fn in _CALL_MODULES[name]().functions.values():
+        assert live_across_calls(fn) == _across_from_live_after(fn), fn.name
 
 
 class TestCopyLiveness:

@@ -24,6 +24,7 @@ from tests.helpers import (
     module_from_asm,
     straight_line_kernel,
 )
+from tests.ir.reference_verify import reference_verify_module
 
 
 @pytest.mark.parametrize(
@@ -232,6 +233,33 @@ class TestSlotLiveness:
         )
         issues = verify_module(module, physical=True)
         assert any("clobbers" in str(i) for i in issues)
+
+    def test_one_write_clobbering_two_values_reports_in_numbering_order(self):
+        # Values are numbered by first appearance: R1 before R0, so R1's
+        # clobber is reported first although R0 is the lower slot.
+        module = _kernel_with(
+            [
+                Instruction(Opcode.MOV, dst=PhysReg(1), srcs=[Imm(5)]),
+                Instruction(Opcode.MOV, dst=PhysReg(0), srcs=[Imm(1)]),
+                Instruction(Opcode.MOV, dst=PhysReg(0, 2), srcs=[Imm(0.0)]),
+                Instruction(
+                    Opcode.ST, srcs=[PhysReg(0)],
+                    space=MemSpace.GLOBAL, offset=0,
+                ),
+                Instruction(
+                    Opcode.ST, srcs=[PhysReg(1)],
+                    space=MemSpace.GLOBAL, offset=4,
+                ),
+            ]
+        )
+        issues = verify_module(module, physical=True)
+        assert [str(i) for i in issues] == [
+            f"k:BB0[2]: write to R0.w2 clobbers {reg}, which is still live "
+            "in the overlapping slot(s)"
+            for reg in ("R1", "R0")
+        ]
+        oracle = reference_verify_module(module, physical=True)
+        assert sorted(map(str, oracle)) == sorted(map(str, issues))
 
     def test_overwrite_of_dead_value_is_clean(self):
         # Same wide write, but nothing reads R1 afterwards: reusing the

@@ -10,6 +10,7 @@ from repro.regalloc.stack import (
     Cluster,
     build_clusters,
     count_total_moves,
+    movement_row,
     movement_weight,
     optimal_layout,
     packed_height,
@@ -74,6 +75,27 @@ class TestMovementWeight:
         # straddling B_k still forces a move.
         assert movement_weight(c, 3, [True], [4]) == 2
         assert movement_weight(c, 2, [True], [4]) == 0
+
+
+class TestMovementRow:
+    @given(
+        width=st.integers(min_value=1, max_value=4),
+        positions=st.lists(
+            st.integers(min_value=0, max_value=40), max_size=12
+        ),
+        sites=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bisection_equals_the_definition(self, width, positions, sites):
+        cluster = Cluster(cid=0, base=0, width=width, vars=[v(0, width)])
+        live = [is_live for is_live, _ in sites]
+        heights = [bk for _, bk in sites]
+        assert movement_row(cluster, positions, live, heights) == [
+            movement_weight(cluster, pos, live, heights) for pos in positions
+        ]
 
 
 class TestOptimalLayout:
@@ -170,6 +192,45 @@ class TestOptimalLayout:
         assert opt_cost == best
 
 
+    @given(
+        n=st.integers(min_value=2, max_value=6),
+        sites=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_pinned_cluster_stays_and_the_rest_match_brute_force(
+        self, n, sites, seed
+    ):
+        """A pinned argument slot keeps its base; the other clusters
+        still get the cheapest of all placements around it."""
+        import random
+
+        rng = random.Random(seed)
+        clusters = make_clusters(n)
+        live = {
+            i: [rng.random() < 0.5 for _ in range(sites)] for i in range(n)
+        }
+        heights = [rng.randint(0, n) for _ in range(sites)]
+        pin = rng.randrange(n)
+        layout = optimal_layout(
+            clusters, live, heights, n, pinned={pin: pin}
+        )
+        assert layout[pin] == pin
+        assert sorted(layout.values()) == list(range(n))
+        others = [c for c in clusters if c.cid != pin]
+        free = [p for p in range(n) if p != pin]
+        best = min(
+            self._moves(
+                {pin: pin, **{c.cid: p for c, p in zip(others, perm)}},
+                clusters,
+                live,
+                heights,
+            )
+            for perm in itertools.permutations(free)
+        )
+        assert self._moves(layout, clusters, live, heights) == best
+
+
 class TestPackedHeight:
     def test_singles(self):
         assert packed_height([(1, 1)] * 3 ) == 3
@@ -184,3 +245,23 @@ class TestPackedHeight:
 
     def test_quad(self):
         assert packed_height([(4, 4), (1, 1), (1, 1)]) == 6
+
+    @given(
+        st.lists(
+            st.sampled_from([(1, 1), (1, 2), (2, 2), (3, 4), (4, 4)]),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_first_fit_of_every_value(self, values):
+        """Counting the single slots gives the height placing each one
+        first-fit would."""
+        taken: list[bool] = []
+        by_size = sorted(values, key=lambda wa: (-wa[0], -wa[1]))
+        for width, alignment in by_size:
+            pos = 0
+            while pos % alignment or any(taken[pos : pos + width]):
+                pos += 1
+            taken.extend([False] * (pos + width - len(taken)))
+            taken[pos : pos + width] = [True] * width
+        assert packed_height(values) == len(taken)
