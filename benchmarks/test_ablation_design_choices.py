@@ -17,7 +17,7 @@ import pytest
 from repro.arch import GTX680, TESLA_C2075
 from repro.bench.kernels import BENCHMARKS
 from repro.compiler import CompileOptions, compile_binary
-from repro.runtime import DynamicTuner, OrionRuntime, Workload
+from repro.runtime import DynamicTuner, ExecutionEngine, TuningSession
 from repro.harness.experiments import _workload, compiled
 
 
@@ -32,8 +32,8 @@ def gaussian_binary():
 
 
 def _run(arch, binary, spec, tolerance=0.02):
-    runtime = OrionRuntime(arch, binary, slowdown_tolerance=tolerance)
-    return runtime.execute(_workload(spec))
+    session = TuningSession(binary, _workload(spec), slowdown_tolerance=tolerance)
+    return ExecutionEngine(arch).run(session)
 
 
 def test_dynamic_beats_or_matches_static(benchmark, imaged_binary, save_artifact):

@@ -12,7 +12,7 @@ from repro.arch import TESLA_C2075, calculate_occupancy
 from repro.bench.kernels import BENCHMARKS
 from repro.compiler import CompileOptions, compile_binary
 from repro.harness import occupancy_sweep
-from repro.runtime import OrionRuntime, Workload
+from repro.runtime import ExecutionEngine, TuningSession, Workload
 from repro.sim.energy import gpu_power
 
 
@@ -28,7 +28,7 @@ def main() -> None:
         )
         print(f"== {name} (direction: {binary.direction}) ==")
 
-        runtime = OrionRuntime(arch, binary)
+        engine = ExecutionEngine(arch)
         workload = Workload(
             launch=spec.workload.launch(),
             iterations=spec.workload.iterations,
@@ -36,7 +36,7 @@ def main() -> None:
             ilp=spec.workload.ilp,
             max_events_per_warp=spec.workload.max_events_per_warp,
         )
-        report = runtime.execute(workload)
+        report = engine.run(TuningSession(binary, workload))
         original = binary.original
         final = report.final_version
 
@@ -53,8 +53,8 @@ def main() -> None:
             gpu_power(arch, occ_orig),
             gpu_power(arch, occ_final),
         )
-        cycles_orig = runtime.measure_version(original, workload)
-        cycles_final = runtime.measure_version(final, workload)
+        cycles_orig = engine.measure_pinned(binary, original, workload)
+        cycles_final = engine.measure_pinned(binary, final, workload)
         print(f"  original: occupancy {occ_orig.occupancy:.3f}, "
               f"{occ_orig.allocated_registers} regs/SM")
         print(f"  final:    occupancy {occ_final.occupancy:.3f}, "

@@ -5,8 +5,9 @@ Walks the whole paper pipeline on a small register-hungry kernel:
 1. write a kernel in ORAS assembly;
 2. compile it — Orion picks a tuning direction from max-live and emits
    a handful of candidate binaries at different occupancy levels;
-3. execute a kernel loop through the Orion runtime, which trials the
-   candidates and locks in the best one within a few iterations;
+3. execute a kernel loop through the Orion runtime's execution engine,
+   which trials the candidates and locks in the best one within a few
+   iterations;
 4. compare against the occupancy-oblivious nvcc-style baseline.
 
 Run:  python examples/quickstart.py
@@ -15,7 +16,7 @@ Run:  python examples/quickstart.py
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary, nvcc_baseline
 from repro.isa.assembly import parse_module
-from repro.runtime import OrionRuntime, Workload
+from repro.runtime import ExecutionEngine, TuningSession, Workload
 from repro.sim import LaunchConfig
 
 
@@ -83,8 +84,8 @@ def main() -> None:
         iterations=12,
         max_events_per_warp=2500,
     )
-    runtime = OrionRuntime(GTX680, binary)
-    report = runtime.execute(workload)
+    engine = ExecutionEngine(GTX680)
+    report = engine.run(TuningSession(binary, workload))
     for record in report.records[:6]:
         print(f"  iter {record.iteration}: {record.label:28s} {record.cycles} cycles")
     print(f"  ... converged after {report.iterations_to_converge} iterations")
@@ -92,7 +93,7 @@ def main() -> None:
 
     print("\n== versus the nvcc-style baseline ==")
     nvcc = nvcc_baseline(module, "main", GTX680)
-    nvcc_total = runtime.measure_version(nvcc, workload)
+    nvcc_total = engine.measure_pinned(binary, nvcc, workload)
     speedup = nvcc_total / report.total_cycles
     print(f"  nvcc:  {nvcc_total} cycles at occupancy {nvcc.occupancy:.3f}")
     print(f"  Orion: {report.total_cycles} cycles (tuning overhead included)")

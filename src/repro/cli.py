@@ -626,7 +626,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             replicas=args.replicas,
         )
     store = TuningStore(args.store, max_entries=args.max_entries)
-    # The daemon is the store's only client: its engine gets no store.
     engine = ExecutionEngine(
         ARCHS[args.arch], backend=args.backend, trace_file=args.trace
     )

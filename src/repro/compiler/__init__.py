@@ -1,7 +1,7 @@
 """The Orion compiler: occupancy realisation, Fig. 8 tuning, and the
 multi-version binary (paper Sections 3.2–3.3 and 4)."""
 
-from repro.compiler.maxlive import function_max_live, tuning_direction
+from repro.compiler.maxlive import tuning_direction
 from repro.compiler.multiversion import MultiVersionBinary
 from repro.compiler.pipeline import (
     CompileOptions,
@@ -38,7 +38,6 @@ __all__ = [
     "compile_time_tuning",
     "conservative_level",
     "front_end",
-    "function_max_live",
     "kernel_max_live",
     "memory_instruction_distance",
     "nvcc_baseline",

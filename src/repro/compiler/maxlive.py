@@ -19,13 +19,7 @@ search starts from it.
 from __future__ import annotations
 
 from repro.ir.function import Module
-from repro.ir.liveness import analyze_liveness
 from repro.regalloc.stack import kernel_max_live
-
-
-def function_max_live(module: Module, name: str) -> int:
-    """Max-live of one function, ignoring its callees."""
-    return analyze_liveness(module.functions[name]).max_live
 
 
 def tuning_direction(

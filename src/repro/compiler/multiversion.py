@@ -98,10 +98,6 @@ class MultiVersionBinary:
             sorted({v.strategy for v in (*self.versions, *self.failsafe)})
         )
 
-    def content_hash(self) -> str:
-        """SHA-256 of the serialised binary (manifest + all versions)."""
-        return hashlib.sha256(self.to_bytes()).hexdigest()
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

@@ -46,9 +46,6 @@ class BasicBlock:
     def phis(self) -> list[Instruction]:
         return [i for i in self.instructions if i.opcode is Opcode.PHI]
 
-    def non_phi_instructions(self) -> list[Instruction]:
-        return [i for i in self.instructions if i.opcode is not Opcode.PHI]
-
     def append(self, inst: Instruction) -> None:
         self.instructions.append(inst)
 
@@ -158,9 +155,6 @@ class Function:
                 top = max(top, reg.index + reg.width)
         return top
 
-    def static_calls(self) -> list[Instruction]:
-        return [inst for inst in self.instructions() if inst.is_call]
-
     def validate(self) -> None:
         """Raise ``ValueError`` on malformed control flow."""
         if not self._block_order:
@@ -233,9 +227,6 @@ class Module:
                 f"module {self.name} has {len(kernels)} kernels; name one"
             )
         return kernels[0]
-
-    def device_functions(self) -> list[Function]:
-        return [f for f in self.functions.values() if not f.is_kernel]
 
     def validate(self) -> None:
         """Raise ``ValueError`` on a malformed function, a bad call or a

@@ -168,9 +168,6 @@ class InterferenceGraph:
             n.width for n in self.adjacency[var] if n not in removed
         )
 
-    def edge_count(self, var: Reg, removed: set[Reg]) -> int:
-        return sum(1 for n in self.adjacency[var] if n not in removed)
-
     @property
     def nodes(self) -> list[Reg]:
         if self._adj is None:

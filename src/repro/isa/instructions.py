@@ -102,7 +102,6 @@ class Opcode(enum.Enum):
 #: Opcodes that end a basic block.
 TERMINATORS = frozenset({Opcode.BRA, Opcode.CBR, Opcode.RET, Opcode.EXIT})
 
-_THREE_SRC = frozenset({Opcode.IMAD, Opcode.FFMA, Opcode.SELP})
 _TWO_SRC = frozenset(
     {
         Opcode.IADD,
@@ -123,18 +122,6 @@ _TWO_SRC = frozenset(
         Opcode.FDIV,
         Opcode.ISET,
         Opcode.FSET,
-    }
-)
-_ONE_SRC = frozenset(
-    {
-        Opcode.MOV,
-        Opcode.I2F,
-        Opcode.F2I,
-        Opcode.FRCP,
-        Opcode.FSQRT,
-        Opcode.FEXP,
-        Opcode.FLOG,
-        Opcode.FSIN,
     }
 )
 
@@ -230,12 +217,6 @@ class Instruction:
     def regs_written(self) -> list[Reg]:
         return [self.dst] if self.dst is not None else []
 
-    def operands_read(self) -> list[Operand]:
-        ops: list[Operand] = list(self.srcs)
-        if self.opcode is Opcode.PHI:
-            ops.extend(op for _, op in self.phi_args)
-        return ops
-
     # ------------------------------------------------------------------
     # Rewriting
     # ------------------------------------------------------------------
@@ -293,20 +274,6 @@ def binary(opcode: Opcode, dst: Reg, a: Operand, b: Operand) -> Instruction:
     return Instruction(opcode, dst=dst, srcs=[a, b])
 
 
-def ternary(
-    opcode: Opcode, dst: Reg, a: Operand, b: Operand, c: Operand
-) -> Instruction:
-    if opcode not in _THREE_SRC:
-        raise ValueError(f"{opcode} is not a three-source opcode")
-    return Instruction(opcode, dst=dst, srcs=[a, b, c])
-
-
-def unary(opcode: Opcode, dst: Reg, a: Operand) -> Instruction:
-    if opcode not in _ONE_SRC:
-        raise ValueError(f"{opcode} is not a one-source opcode")
-    return Instruction(opcode, dst=dst, srcs=[a])
-
-
 def iset(dst: Reg, cmp: CmpOp, a: Operand, b: Operand) -> Instruction:
     return Instruction(Opcode.ISET, dst=dst, srcs=[a, b], cmp=cmp)
 
@@ -347,10 +314,6 @@ def call(
 
 def ret(value: Operand | None = None) -> Instruction:
     return Instruction(Opcode.RET, srcs=[value] if value is not None else [])
-
-
-def exit_() -> Instruction:
-    return Instruction(Opcode.EXIT)
 
 
 def bar() -> Instruction:

@@ -54,7 +54,6 @@ class EventKind(str, Enum):
     CONVERGED = "converged"
     SESSION_FINALIZED = "session_finalized"
     SESSION_FAILED = "session_failed"
-    WARM_START = "warm_start"
     CACHE_HIT = "cache_hit"
     CACHE_MISS = "cache_miss"
     BACKEND_INVOKE = "backend_invoke"

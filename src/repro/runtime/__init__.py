@@ -5,7 +5,6 @@ and hub live in :mod:`repro.obs.telemetry`."""
 
 from repro.runtime.adaptation import DynamicTuner, TrialRecord
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.launcher import OrionRuntime
 from repro.runtime.session import (
     ExecutionReport,
     IterationRecord,
@@ -26,7 +25,6 @@ __all__ = [
     "ExecutionEngine",
     "ExecutionReport",
     "IterationRecord",
-    "OrionRuntime",
     "SplitLaunch",
     "TrialRecord",
     "TuningSession",

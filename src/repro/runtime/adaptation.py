@@ -20,7 +20,7 @@ iterations; tests here assert the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.compiler.multiversion import MultiVersionBinary
 from repro.compiler.realize import KernelVersion
@@ -152,19 +152,6 @@ class DynamicTuner:
                 eligible.append(v)
         chosen = min(eligible, key=lambda v: (v.achieved_warps, v.label))
         self._finalize(chosen)
-
-    def force_final(self, version: KernelVersion) -> None:
-        """Lock in ``version`` without walking any candidates.
-
-        The warm-start path (:mod:`repro.service`): a persisted winner
-        for this exact (kernel, context, work-shape) key replaces the
-        Fig. 9 search entirely.  Only legal before the first trial —
-        overriding a search in flight would corrupt the history the
-        fail-safe logic reasons about.
-        """
-        if self.iteration or self.history:
-            raise RuntimeError("cannot warm-start a tuner mid-search")
-        self.final_version = version
 
     # ------------------------------------------------------------------
     def _finalize(self, version: KernelVersion) -> None:

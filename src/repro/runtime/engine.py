@@ -1,8 +1,8 @@
 """The execution engine: backends × sessions × cache × telemetry.
 
-This is the runtime half of the ROADMAP's production story.  The old
-``OrionRuntime`` hardwired the timing simulator and ran one workload at
-a time; the engine
+The runtime's one entry point: ``engine.run(TuningSession(binary,
+workload))`` tunes a workload, ``engine.measure_pinned`` measures it
+pinned to one version.  The engine
 
 * measures through a pluggable :class:`~repro.sim.backend.ExecutionBackend`
   (timing simulator, analytical model, functional interpreter — or
@@ -77,7 +77,6 @@ class ExecutionEngine:
         measurement_cache: MeasurementCache | None = None,
         telemetry: TelemetryHub | None = None,
         trace_file: str | os.PathLike | None = None,
-        tuning_store=None,
     ) -> None:
         self.arch = arch
         self.backend = get_backend(backend)
@@ -95,17 +94,6 @@ class ExecutionEngine:
         self.trace_path = Path(trace) if trace else None
         if trace:
             self.telemetry.add_sink(JsonlSink(trace))
-        # ``tuning_store``: a repro.service.store.TuningStore, a path to
-        # one, or None (also settable via ORION_TUNING_STORE).  Resolved
-        # lazily so the runtime has no import-time dependency on the
-        # service layer.
-        if tuning_store is None:
-            tuning_store = os.environ.get("ORION_TUNING_STORE") or None
-        if isinstance(tuning_store, (str, os.PathLike)):
-            from repro.service.store import TuningStore
-
-            tuning_store = TuningStore(tuning_store)
-        self.tuning_store = tuning_store
 
     # ------------------------------------------------------------------
     # Measurement (cache + telemetry around one backend call)
@@ -228,13 +216,11 @@ class ExecutionEngine:
     ) -> int:
         """Cycles for the full workload pinned to one version (no tuning).
 
-        Unlike the old ``OrionRuntime.measure_version``, this honours
-        ``workload.work_profile`` — iteration ``i`` launches the same
-        scaled grid the tuned run launches — so pinned baselines and
-        tuned runs measure the same total work.  Deduplication of equal
-        launches happens in the content-addressed cache rather than a
-        ``grid_blocks``-keyed memo, so two launches that differ in any
-        measured dimension are never conflated.
+        Honours ``workload.work_profile`` — iteration ``i`` launches the
+        same scaled grid the tuned run launches — so pinned baselines
+        and tuned runs measure the same total work.  Equal launches are
+        deduplicated in the content-addressed cache, so two launches
+        that differ in any measured dimension are never conflated.
         """
         launches, was_split = iteration_launches(binary, workload)
         total = 0
@@ -268,7 +254,6 @@ class ExecutionEngine:
             iterations=len(launches),
             was_split=was_split,
         )
-        store_key = self._warm_start(session)
         tuner = session.tuner
         for i, launch in enumerate(launches):
             work = workload.work_at(i)
@@ -312,97 +297,7 @@ class ExecutionEngine:
             total_cycles=report.total_cycles,
             iterations_to_converge=report.iterations_to_converge,
         )
-        self._publish(session, report, store_key)
         return report
-
-    # ------------------------------------------------------------------
-    # Warm start (the persistent tuning store, repro.service)
-    # ------------------------------------------------------------------
-    def _tuning_key(self, session: TuningSession) -> str:
-        from repro.service.fingerprint import tuning_key
-
-        return tuning_key(
-            session.binary,
-            session.workload,
-            self.arch.name,
-            self.backend.name,
-            self.cache_config.value,
-            arch_fingerprint=self.arch.fingerprint(),
-        )
-
-    def _warm_start(self, session: TuningSession) -> str | None:
-        """Try to pre-converge ``session`` from the tuning store.
-
-        Returns the session's store key when a store is attached and the
-        session is tunable (so a cold result can be published back), or
-        ``None`` when the store path is inactive for this session.
-        """
-        if self.tuning_store is None:
-            return None
-        if session.tuner.converged or not session.binary.can_tune:
-            return None
-        key = self._tuning_key(session)
-        record = self.tuning_store.get(key)
-        if record is None:
-            result = "miss"
-        elif session.warm_start(record.winner_label):
-            result = "hit"
-            self.telemetry.emit(
-                EventKind.WARM_START,
-                session.name,
-                label=record.winner_label,
-                key=key[:12],
-                stored_cycles=record.total_cycles,
-            )
-        else:
-            # The stored label no longer names a version of this binary:
-            # a stale entry.  Drop it so the fresh result replaces it.
-            result = "stale"
-            self.tuning_store.invalidate(key)
-        self._count_warm_start(result)
-        return key
-
-    def _publish(
-        self,
-        session: TuningSession,
-        report: ExecutionReport,
-        store_key: str | None,
-    ) -> None:
-        """Publish a cold session's converged winner back to the store.
-
-        Every version is decoded first, measured or not, so a binary
-        whose bytes do not decode never gets a record: the
-        :class:`~repro.isa.encoding.CodecError` propagates instead.
-        """
-        if (
-            store_key is None
-            or session.warm_started_from is not None
-            or report.iterations_to_converge is None
-        ):
-            return
-        from repro.service.fingerprint import kernel_fingerprint
-        from repro.service.store import record_from_report
-
-        session.binary.decode_modules()
-        self.tuning_store.put(
-            record_from_report(
-                store_key,
-                kernel_fingerprint(session.binary),
-                session.binary,
-                report,
-                self.arch.name,
-                self.backend.name,
-            )
-        )
-
-    @staticmethod
-    def _count_warm_start(result: str) -> None:
-        from repro.obs.metrics import get_registry
-
-        get_registry().counter(
-            "orion_warm_starts_total",
-            "Tuning-store warm-start attempts by result.",
-        ).inc(result=result)
 
     def run_many(
         self, sessions: list[TuningSession]

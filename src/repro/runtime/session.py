@@ -134,9 +134,6 @@ class TuningSession:
         self.total_cycles = 0
         self.converge_at: int | None = 0 if self.tuner.converged else None
         self.report: ExecutionReport | None = None
-        #: label of the stored winner this session warm-started from
-        #: (``None``: cold — the tuner walked candidates normally)
-        self.warm_started_from: str | None = None
         #: traceback text when the engine isolated a failure in this
         #: session (see ``ExecutionEngine.run_many``)
         self.error: str | None = None
@@ -145,23 +142,6 @@ class TuningSession:
     @property
     def finished(self) -> bool:
         return self.report is not None
-
-    def warm_start(self, winner_label: str) -> bool:
-        """Pre-converge the tuner to a stored winner, if it still exists.
-
-        Returns ``False`` (and changes nothing) when no version of this
-        binary carries ``winner_label`` — a stale store entry must never
-        force a version the binary cannot launch.
-        """
-        if self.tuner.converged:
-            return False
-        for version in (*self.binary.versions, *self.binary.failsafe):
-            if version.label == winner_label:
-                self.tuner.force_final(version)
-                self.converge_at = 0
-                self.warm_started_from = winner_label
-                return True
-        return False
 
     def iteration_launches(self) -> tuple[list[LaunchConfig], bool]:
         return iteration_launches(self.binary, self.workload)

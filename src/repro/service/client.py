@@ -48,9 +48,12 @@ import time
 from pathlib import Path
 
 from repro.compiler.multiversion import MultiVersionBinary
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import Workload
 from repro.service import protocol
+from repro.service.fingerprint import tuning_key
 from repro.service.protocol import ProtocolError
+from repro.service.store import tune_record
 
 #: lowest allowed retry sleep (seconds); see the module docstring
 MIN_BACKOFF = 0.01
@@ -322,11 +325,10 @@ class RingClient:
         timeout: float = 10.0,
         retries: int = 1,
         backoff: float = 0.05,
-        vnodes: int | None = None,
     ) -> None:
-        from repro.service.cluster import DEFAULT_VNODES, HashRing
+        from repro.service.cluster import HashRing
 
-        self.ring = HashRing(ring, vnodes or DEFAULT_VNODES)
+        self.ring = HashRing(ring)
         self.nodes = self.ring.nodes
         self.timeout = timeout
         self.retries = retries
@@ -460,6 +462,9 @@ def tune_with_fallback(
     ``"local"`` when the fallback path ran).  The fallback builds a
     throwaway local engine, so it works with no daemon on the machine
     at all — the service layer is an accelerator, never a dependency.
+    It tunes through :func:`~repro.service.store.tune_record`, as the
+    daemon does, so a binary whose versions do not all decode raises
+    :class:`~repro.isa.encoding.CodecError` here too.
     """
     try:
         return client.tune(binary, workload)
@@ -468,21 +473,12 @@ def tune_with_fallback(
         _log().warn(
             "client_fallback", reason=type(exc).__name__, error=str(exc)
         )
-        from repro.runtime.engine import ExecutionEngine
-        from repro.runtime.session import TuningSession
-        from repro.service.fingerprint import kernel_fingerprint, tuning_key
-        from repro.service.store import record_from_report
-
         engine = ExecutionEngine(arch, backend=backend)
-        report = engine.run(TuningSession(binary, workload))
         key = tuning_key(
             binary, workload, arch.name, engine.backend.name,
             engine.cache_config.value, arch_fingerprint=arch.fingerprint(),
         )
-        record = record_from_report(
-            key, kernel_fingerprint(binary), binary, report,
-            arch.name, engine.backend.name,
-        )
+        record = tune_record(engine, key, binary, workload)
         return {
             "ok": True,
             "source": "local",

@@ -151,7 +151,6 @@ class ClusterConfig:
     node_id: str  # this daemon's advertised host:port, present in ring
     ring: list[str] = field(default_factory=list)
     replicas: int = 2  # copies beyond the owner
-    vnodes: int = DEFAULT_VNODES
     peer_timeout: float = 5.0  # connect/control-plane deadline per peer
 
     def __post_init__(self) -> None:
@@ -174,7 +173,7 @@ class ClusterConfig:
         return len(self.ring)
 
     def hash_ring(self) -> HashRing:
-        return HashRing(self.ring, self.vnodes)
+        return HashRing(self.ring)
 
 
 class Replicator:

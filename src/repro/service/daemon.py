@@ -7,8 +7,9 @@ workload description; the daemon answers from the persistent
 winner (a *warm hit* — zero measurement-backend invocations) and
 otherwise drives one :class:`~repro.runtime.session.TuningSession`
 through its :class:`~repro.runtime.engine.ExecutionEngine` on one of
-its tune workers and puts the session's record in the store.  The
-daemon is its store's only client: its engine runs without a store.
+its tune workers (:func:`~repro.service.store.tune_record`) and puts
+the session's record in the store.  The daemon is its store's only
+client.
 
 A tune request's binary is parsed only as far as its container
 (:func:`decode_binary`): the store key, the ring owner and forwarding
@@ -104,11 +105,11 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.log import StructuredLogger, get_logger
 from repro.obs.spans import span
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.session import TuningSession, Workload
+from repro.runtime.session import Workload
 from repro.service import protocol
 from repro.service.cluster import ClusterConfig, Replicator, node_address
 from repro.service.fingerprint import kernel_fingerprint, tuning_key
-from repro.service.store import TuningRecord, TuningStore, record_from_report
+from repro.service.store import TuningRecord, TuningStore, tune_record
 from repro.sim.interp import LaunchConfig
 from repro.sim.trace import MemoryTraits
 
@@ -125,6 +126,9 @@ _SYNC_RETRY_DELAY = 0.2
 #: request (docs/performance.md, "Tune workers").
 _TUNE_WORKERS = 2
 
+#: seconds a ``queue-full`` rejection tells the client to wait
+RETRY_AFTER = 0.05
+
 
 @dataclass
 class DaemonConfig:
@@ -135,11 +139,9 @@ class DaemonConfig:
     port_file: str | os.PathLike | None = None
     max_pending: int = 8  # admission bound on queued-or-running tunes
     request_timeout: float = 30.0  # seconds before a tune answers timeout
-    retry_after: float = 0.05  # backpressure hint on queue-full rejections
     http_port: int | None = None  # /metrics + /healthz sidecar (None: off)
     cluster: ClusterConfig | None = field(default=None)  # --ring membership
     log_file: str | os.PathLike | None = None  # structured JSONL log
-    flight_entries: int = 128  # flight-recorder ring capacity
 
 
 def workload_from_payload(payload: dict) -> Workload:
@@ -235,7 +237,7 @@ class TuningDaemon:
         self.http: "object | None" = None
         self.http_port: int | None = None
         #: recent request summaries (``/debug/requests``, failure dumps)
-        self.flight = FlightRecorder(self.config.flight_entries)
+        self.flight = FlightRecorder()
         # A --log-file gets this daemon its own logger (tests run many
         # daemons per process); otherwise share the $ORION_LOG one.
         self.log = (
@@ -644,7 +646,7 @@ class TuningDaemon:
                         protocol.CODE_QUEUE_FULL,
                         f"{self._pending} tune job(s) pending "
                         f"(bound {self.config.max_pending})",
-                        retry_after=self.config.retry_after,
+                        retry_after=RETRY_AFTER,
                     ),
                     "queue-full",
                 )
@@ -724,22 +726,14 @@ class TuningDaemon:
     def _tune_sync(
         self, key: str, binary: MultiVersionBinary, workload: Workload
     ) -> TuningRecord:
-        """One cold tune on a worker thread: run the session, put its
-        record, return it.
+        """One cold tune on a worker thread: tune, put the record,
+        return it.
 
-        The daemon is its store's only client: its engine runs without
-        a tuning store, so the request's own ``store.get`` is the one
-        lookup a cold tune makes and this ``put`` its one write.
+        The daemon is its store's only client, so the request's own
+        ``store.get`` is the one lookup a cold tune makes and this
+        ``put`` its one write.
         """
-        report = self.engine.run(TuningSession(binary, workload))
-        record = record_from_report(
-            key,
-            kernel_fingerprint(binary),
-            binary,
-            report,
-            self.engine.arch.name,
-            self.engine.backend.name,
-        )
+        record = tune_record(self.engine, key, binary, workload)
         self.store.put(record)
         return record
 
@@ -1043,7 +1037,7 @@ class TuningDaemon:
             "node_id": self.cluster.node_id,
             "ring": list(self.cluster.ring),
             "replicas": self.cluster.replicas,
-            "vnodes": self.cluster.vnodes,
+            "vnodes": self._ring.vnodes,
             "backlog": replicator.backlog() if replicator else {},
             "behind": replicator.behind() if replicator else [],
             "applied_from": {

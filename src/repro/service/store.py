@@ -41,6 +41,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
+from repro.compiler.multiversion import MultiVersionBinary
+from repro.runtime.engine import ExecutionEngine
+from repro.runtime.session import TuningSession, Workload
+from repro.service.fingerprint import kernel_fingerprint
+
 try:  # pragma: no cover - exercised implicitly on POSIX
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
@@ -99,22 +104,28 @@ class TuningRecord:
         )
 
 
-def record_from_report(
+def tune_record(
+    engine: ExecutionEngine,
     key: str,
-    kernel_fp: str,
-    binary,
-    report,
-    arch_name: str,
-    backend_name: str,
+    binary: MultiVersionBinary,
+    workload: Workload,
 ) -> TuningRecord:
-    """Build the store record for one converged ExecutionReport."""
+    """Tune ``binary`` on ``engine`` and build the record stored under ``key``.
+
+    The one way a record is made from a tuned session.  Every version
+    is decoded first, measured or not, so a binary whose bytes do not
+    all decode never gets a record: the
+    :class:`~repro.isa.encoding.CodecError` propagates instead.
+    """
+    binary.decode_modules()
+    report = engine.run(TuningSession(binary, workload))
     final = report.final_version
     return TuningRecord(
         key=key,
-        kernel=kernel_fp,
+        kernel=kernel_fingerprint(binary),
         kernel_name=binary.kernel_name,
-        arch=arch_name,
-        backend=backend_name,
+        arch=engine.arch.name,
+        backend=engine.backend.name,
         winner_label=final.label,
         winner_warps=final.achieved_warps,
         occupancy=final.occupancy,

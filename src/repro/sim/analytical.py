@@ -45,10 +45,6 @@ class KernelProfile:
     shared_accesses: float
     transactions_per_access: float  # cache lines per warp access
 
-    @property
-    def total_memory_periods(self) -> float:
-        return self.offchip_accesses + self.local_accesses
-
 
 def profile_kernel(
     module: Module,

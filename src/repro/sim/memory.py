@@ -76,10 +76,6 @@ class SetAssociativeCache:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 @dataclass
 class MemoryStats:

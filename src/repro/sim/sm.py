@@ -39,10 +39,6 @@ class SMResult:
     issue_stall_cycles: int
     barrier_count: int
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
 
 class SMSimulator:
     """Simulates one SM executing a set of resident warp traces."""

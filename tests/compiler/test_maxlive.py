@@ -1,7 +1,8 @@
 """max-live metric and tuning-direction tests (Fig. 8 lines 1-4)."""
 
 from repro.arch import GTX680, TESLA_C2075
-from repro.compiler.maxlive import function_max_live, tuning_direction
+from repro.compiler.maxlive import tuning_direction
+from repro.ir.liveness import max_live
 from repro.regalloc.stack import kernel_max_live
 from tests.helpers import (
     call_kernel,
@@ -14,12 +15,12 @@ from tests.helpers import (
 class TestMaxLive:
     def test_straight_line(self):
         module = straight_line_kernel()
-        assert kernel_max_live(module, "k") == function_max_live(module, "k")
+        assert kernel_max_live(module, "k") == max_live(module.functions["k"])
 
     def test_call_tree_adds_live_across(self):
         module = call_kernel()
         whole = kernel_max_live(module, "k")
-        kernel_only = function_max_live(module, "k")
+        kernel_only = max_live(module.functions["k"])
         # Values held across the calls stack under the callee's needs.
         assert whole > kernel_only or whole >= kernel_only
 

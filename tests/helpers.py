@@ -244,6 +244,26 @@ def corrupt_version(data: bytes, label: str) -> bytes:
     return binary.to_bytes()
 
 
+#: the hotspot/GTX680 version :func:`corrupt_hotspot` breaks
+HOTSPOT_UNMEASURED = "conservative warps=64"
+
+
+def corrupt_hotspot():
+    """hotspot's GTX680 fat binary with :data:`HOTSPOT_UNMEASURED`
+    broken, and hotspot's workload.
+
+    On the analytical backend a session converges without measuring
+    that version, so only a step that decodes every version sees it.
+    """
+    from repro.arch import GTX680
+    from repro.bench.kernels import BENCHMARKS
+    from repro.harness.experiments import _workload, compiled
+
+    spec = BENCHMARKS["hotspot"]
+    binary = compiled(spec, GTX680, strategy="local-spill")
+    return corrupt_version(binary.to_bytes(), HOTSPOT_UNMEASURED), _workload(spec)
+
+
 # ----------------------------------------------------------------------
 # One engine shared by threads, as the daemon's tune workers share it
 # ----------------------------------------------------------------------

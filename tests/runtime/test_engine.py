@@ -8,7 +8,7 @@ from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
 from repro.obs.telemetry import EventKind, InMemorySink, TelemetryHub
 from repro.perf.measure_cache import MeasurementCache
-from repro.runtime import OrionRuntime, Workload
+from repro.runtime import Workload
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import TuningSession
 from repro.sim import LaunchConfig
@@ -39,24 +39,7 @@ def engine_with_sink(**kwargs):
     return engine, sink
 
 
-def reports_equal(a, b):
-    return (
-        a.total_cycles == b.total_cycles
-        and a.final_label == b.final_label
-        and a.iterations_to_converge == b.iterations_to_converge
-        and a.was_split == b.was_split
-        and [(r.label, r.cycles) for r in a.records]
-        == [(r.label, r.cycles) for r in b.records]
-    )
-
-
 class TestEngineRun:
-    def test_matches_orion_runtime(self, binary, workload):
-        engine, _ = engine_with_sink()
-        via_engine = engine.run(session_for(binary, workload))
-        via_runtime = OrionRuntime(GTX680, binary).execute(workload)
-        assert reports_equal(via_engine, via_runtime)
-
     def test_session_records_and_report(self, binary, workload):
         engine, _ = engine_with_sink()
         session = session_for(binary, workload)
@@ -158,23 +141,6 @@ class TestMeasurePinned:
             for blocks in (64, 32)
         )
         assert pinned == expected
-
-    def test_runtime_facade_carries_the_fix(self, binary):
-        runtime = OrionRuntime(GTX680, binary)
-        base = Workload(
-            launch=LaunchConfig(grid_blocks=64, block_size=256),
-            iterations=2,
-            max_events_per_warp=1500,
-        )
-        shrunk = Workload(
-            launch=base.launch,
-            iterations=2,
-            work_profile=[1.0, 0.5],
-            max_events_per_warp=1500,
-        )
-        assert runtime.measure_version(
-            binary.original, shrunk
-        ) < runtime.measure_version(binary.original, base)
 
 
 class TestBackendsThroughEngine:

@@ -1,10 +1,10 @@
-"""OrionRuntime integration tests (tuner + simulator)."""
+"""Tuning a workload end to end through the engine (tuner + simulator)."""
 
 import pytest
 
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
-from repro.runtime import OrionRuntime, Workload
+from repro.runtime import ExecutionEngine, TuningSession, Workload
 from repro.sim import LaunchConfig
 from tests.helpers import module_from_asm
 
@@ -29,6 +29,10 @@ def pressure_module(n=36, trips=6):
     return module_from_asm(text)
 
 
+def tune(binary, workload):
+    return ExecutionEngine(GTX680).run(TuningSession(binary, workload))
+
+
 @pytest.fixture(scope="module")
 def binary():
     return compile_binary(pressure_module(), "k", CompileOptions(arch=GTX680))
@@ -45,34 +49,34 @@ def workload():
 
 class TestExecution:
     def test_executes_all_iterations(self, binary, workload):
-        report = OrionRuntime(GTX680, binary).execute(workload)
+        report = tune(binary, workload)
         assert len(report.records) == 10
         assert report.total_cycles == sum(r.cycles for r in report.records)
 
     def test_converges_and_sticks(self, binary, workload):
-        report = OrionRuntime(GTX680, binary).execute(workload)
+        report = tune(binary, workload)
         assert report.iterations_to_converge is not None
         assert report.iterations_to_converge <= 5
         tail = report.records[report.iterations_to_converge:]
         assert all(r.label == report.final_label for r in tail)
 
     def test_final_never_the_worst_candidate(self, binary, workload):
-        runtime = OrionRuntime(GTX680, binary)
-        report = runtime.execute(workload)
-        final_cycles = runtime.measure_version(report.final_version, workload)
-        for version in binary.versions:
-            if version.label == report.final_label:
-                continue
+        engine = ExecutionEngine(GTX680)
+        report = engine.run(TuningSession(binary, workload))
+        final_cycles = engine.measure_pinned(
+            binary, report.final_version, workload
+        )
         worst = max(
-            runtime.measure_version(v, workload)
+            engine.measure_pinned(binary, v, workload)
             for v in binary.versions + binary.failsafe
         )
         assert final_cycles <= worst
 
     def test_measure_version_scales_with_iterations(self, binary, workload):
-        runtime = OrionRuntime(GTX680, binary)
-        ten = runtime.measure_version(binary.original, workload)
-        twenty = runtime.measure_version(
+        engine = ExecutionEngine(GTX680)
+        ten = engine.measure_pinned(binary, binary.original, workload)
+        twenty = engine.measure_pinned(
+            binary,
             binary.original,
             Workload(
                 launch=workload.launch,
@@ -90,7 +94,7 @@ class TestSplitting:
             iterations=1,
             max_events_per_warp=1500,
         )
-        report = OrionRuntime(GTX680, binary).execute(workload)
+        report = tune(binary, workload)
         assert report.was_split
         assert len(report.records) > 1
 
@@ -100,6 +104,6 @@ class TestSplitting:
             iterations=1,
             max_events_per_warp=1500,
         )
-        report = OrionRuntime(GTX680, binary).execute(workload)
+        report = tune(binary, workload)
         assert not report.was_split
         assert len(report.records) == 1

@@ -11,7 +11,8 @@ import pytest
 
 from repro.arch import GTX680
 from repro.runtime.adaptation import DynamicTuner
-from repro.runtime.launcher import OrionRuntime, Workload
+from repro.runtime.engine import ExecutionEngine
+from repro.runtime.session import TuningSession, Workload
 from repro.sim import LaunchConfig
 
 from tests.runtime.test_adaptation import make_binary
@@ -137,14 +138,13 @@ class TestEndToEnd:
             """
         )
         binary = compile_binary(module, "k", CompileOptions(arch=GTX680))
-        runtime = OrionRuntime(GTX680, binary)
         workload = Workload(
             launch=LaunchConfig(grid_blocks=64, block_size=256),
             iterations=8,
             work_profile=[1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2],
             max_events_per_warp=500,
         )
-        report = runtime.execute(workload)
+        report = ExecutionEngine(GTX680).run(TuningSession(binary, workload))
         assert report.final_version is not None
         assert len(report.records) == 8
         # Later iterations launch fewer blocks.

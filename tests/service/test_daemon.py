@@ -17,6 +17,8 @@ import pytest
 
 from repro.arch import GTX680
 from repro.compiler import CompileOptions, compile_binary
+from repro.compiler.multiversion import MultiVersionBinary
+from repro.isa.encoding import CodecError
 from repro.obs.metrics import get_registry
 from repro.obs.telemetry import EventKind
 from repro.runtime import Workload
@@ -33,7 +35,7 @@ from repro.service.daemon import DaemonConfig, TuningDaemon, workload_from_paylo
 from repro.service.store import TuningStore
 from repro.sim import LaunchConfig
 from repro.sim.backend import get_backend
-from tests.helpers import corrupt_version, count_decodes, payloads
+from tests.helpers import corrupt_hotspot, corrupt_version, count_decodes, payloads
 from tests.runtime.test_launcher import pressure_module
 
 
@@ -369,7 +371,7 @@ class TestDaemonRobustness:
         self, tmp_path, binary, workload
     ):
         store = TuningStore(tmp_path / "s.jsonl")
-        config = DaemonConfig(max_pending=0, retry_after=0.123)
+        config = DaemonConfig(max_pending=0)
         with DaemonHarness(store, config) as harness:
             client = harness.client(retries=0)
             payload = protocol.request(
@@ -382,7 +384,7 @@ class TestDaemonRobustness:
                 response = protocol.recv_frame(sock)
             assert response["ok"] is False
             assert response["code"] == protocol.CODE_QUEUE_FULL
-            assert response["retry_after"] == 0.123
+            assert response["retry_after"] == daemon_module.RETRY_AFTER > 0
             # The client retries then degrades to ServiceUnavailable.
             with pytest.raises(ServiceUnavailable):
                 client.tune(binary, workload)
@@ -703,3 +705,28 @@ class TestClientFallback:
         client = TuningClient(port=self._dead_port(), retries=0, backoff=0.0)
         with pytest.raises(ServiceUnavailable):
             client.tune(binary, workload)
+
+    def test_rejected_undecodable_binary_is_not_tuned_locally(self, tmp_path):
+        """The daemon answers ``bad-request``; the local fallback must not
+        then build a record the daemon refused."""
+        raw, workload = corrupt_hotspot()
+        store = TuningStore(tmp_path / "s.jsonl")
+        with DaemonHarness(store, backend="analytical") as harness:
+            client = harness.client(retries=0)
+            with pytest.raises(ServiceRejected, match="magic"):
+                client.tune(MultiVersionBinary.from_bytes(raw), workload)
+            with pytest.raises(CodecError, match="magic"):
+                tune_with_fallback(
+                    client, MultiVersionBinary.from_bytes(raw), workload,
+                    GTX680, backend="analytical",
+                )
+        assert len(store) == 0
+
+    def test_unreachable_daemon_undecodable_binary_is_not_tuned_locally(self):
+        raw, workload = corrupt_hotspot()
+        client = TuningClient(port=self._dead_port(), retries=0, backoff=0.0)
+        with pytest.raises(CodecError, match="magic"):
+            tune_with_fallback(
+                client, MultiVersionBinary.from_bytes(raw), workload,
+                GTX680, backend="analytical",
+            )

@@ -1,4 +1,4 @@
-"""Example-script smoke tests (cheap ones run; heavy ones import-check)."""
+"""Example-script smoke tests: every example imports and runs."""
 
 import importlib.util
 import pathlib
@@ -29,6 +29,23 @@ def _load(name):
 def test_example_imports_and_has_main(name):
     module = _load(name)
     assert callable(module.main)
+
+
+#: a line each example prints once it has run to the end
+_LAST_WORDS = {
+    "quickstart": "speedup:",
+    "energy_savings": "energy saving",
+    "occupancy_sweep": "worst/best ratio",
+    "performance_model": "unrolling leeway",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAST_WORDS))
+def test_example_main_runs(name, monkeypatch, capsys):
+    # No arguments: each example falls back to its default benchmark.
+    monkeypatch.setattr(sys, "argv", [f"{name}.py"])
+    _load(name).main()
+    assert _LAST_WORDS[name] in capsys.readouterr().out
 
 
 def test_custom_kernel_example_runs(capsys):
