@@ -19,11 +19,16 @@ from repro.ir.liveness import analyze_liveness
 from repro.ir.ssa import construct_ssa, destruct_ssa
 from repro.regalloc import matching
 from repro.regalloc.chaitin import color_graph
+from repro.regalloc.coalesce import coalesce_moves
 from repro.regalloc.matching import min_cost_assignment
 from repro.sim.gpu import _cached_traces
 from repro.sim.interp import LaunchConfig
 from repro.sim.sm import SMSimulator
 from repro.sim.trace import generate_warp_traces
+from tests.regalloc.reference_chaitin import (
+    reference_coalesce_moves,
+    reference_color_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +68,40 @@ def test_bench_interference_graph(benchmark, cfd_destructed):
 
 
 def test_bench_chaitin_coloring(benchmark, cfd_destructed):
-    graph = build_interference(cfd_destructed)
+    """A fresh cfd graph each round, at a budget that spills (31 of 166
+    values at 32 colours), so every round pays the optimistic picks."""
+    result = benchmark.pedantic(
+        color_graph,
+        setup=lambda: ((build_interference(cfd_destructed), 32), {}),
+        rounds=20,
+    )
+    expected = reference_color_graph(build_interference(cfd_destructed), 32)
+    assert list(result.coloring.items()) == list(expected.coloring.items())
+    assert result.spilled == expected.spilled
+    assert result.spilled
 
-    result = benchmark(color_graph, graph, 64)
-    assert not result.spilled
+
+def test_bench_coalesce_moves(benchmark, cfd_destructed):
+    """Coalescing a fresh copy of cfd and its graph each round, at the
+    colouring bench's budget."""
+    rounds: list = []
+
+    def setup():
+        fn = cfd_destructed.copy()
+        rounds.append(fn)
+        return (fn, build_interference(fn), 32), {}
+
+    report = benchmark.pedantic(coalesce_moves, setup=setup, rounds=20)
+    fn = cfd_destructed.copy()
+    expected = reference_coalesce_moves(fn, build_interference(fn), 32)
+    assert list(report.replacements.items()) == list(
+        expected.replacements.items()
+    )
+    assert (report.merged_pairs, report.removed_moves) == (
+        expected.merged_pairs,
+        expected.removed_moves,
+    )
+    assert str(rounds[-1]) == str(fn)
 
 
 def test_bench_kuhn_munkres_40x40(benchmark):

@@ -7,14 +7,16 @@ get the classic Chaitin refinement: for ``MOV d, s`` the definition of
 variables colourable to the same slot.
 
 Construction runs in the same dense-bitmask domain as the liveness
-analysis: the backward walk keeps the live set as one integer and the
-adjacency as per-register bitmasks, then materialises the classic
-``dict[Reg, set[Reg]]`` adjacency once at the end.  Node order is the
-deterministic dense numbering (first appearance in the instruction
-stream), stable across runs and hash seeds.
+analysis: the backward walk keeps the live set as one integer and
+records, per defined register, the mask of registers live at its
+definitions.  The graph keeps those masks and their transpose; it has
+no other form.  Node order is the dense numbering (first appearance in
+the instruction stream), stable across runs and hash seeds.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
@@ -24,166 +26,99 @@ from repro.isa.registers import Reg, VirtualReg
 
 
 class InterferenceGraph:
-    """Undirected graph over variables, width-aware.
+    """Undirected, width-aware graph over variables, as bitmasks.
 
-    ``blocking_degree`` counts neighbours in register-slot units (a
-    64-bit neighbour blocks two colours), which extends the Chaitin
-    "degree < k" colourability guarantee to wide variables.
+    Node ``i`` is ``regs[i]``.  Bit ``j`` of ``fwd[i]`` records that
+    ``regs[j]`` is live at a definition of ``regs[i]``; ``rev`` is the
+    transpose of ``fwd``, so ``fwd[i] | rev[i]`` are the neighbours of
+    ``i``.  Coalescing and colouring both run on these masks.
 
-    Graphs built by :func:`build_interference` carry a *dense* form —
-    nodes numbered ``0..n-1`` with ``list[int]`` neighbour lists — that
-    the allocator's hot loops consume directly (:meth:`dense`); the
-    classic ``dict[Reg, set[Reg]]`` adjacency is materialised lazily on
-    first access, so colouring a graph never pays for Reg-object sets
-    it does not read.
+    A pair in which each value is live at the other's definition is
+    recorded from both definitions, so ``j`` sits in ``fwd[i]`` and in
+    ``rev[i]``.  :attr:`degree` (neighbour widths, in slot units: a
+    64-bit neighbour blocks two colours) and :attr:`edges` count the
+    bits of ``fwd`` and ``rev`` separately, so they count such a pair
+    twice.  The allocator's stacks and merges, and so its output,
+    depend on that count.
     """
 
-    def __init__(self) -> None:
-        self._adj: dict[Reg, set[Reg]] | None = {}
-        #: raw output of build_interference: (regs, present bit order,
-        #: one-directional adjacency bitmasks)
-        self._dense_src: (
-            tuple[list[Reg], list[int], list[int]] | None
-        ) = None
-        self._dense: (
-            tuple[list[Reg], dict[Reg, int], list[list[int]], list[int]]
-            | None
-        ) = None
+    __slots__ = ("regs", "fwd", "rev", "by_width", "degree", "edges")
 
-    @property
-    def adjacency(self) -> dict[Reg, set[Reg]]:
-        adj = self._adj
-        if adj is None:
-            adj = self._materialize()
-        return adj
-
-    @adjacency.setter
-    def adjacency(self, value: dict[Reg, set[Reg]]) -> None:
-        self._adj = value
-        self._dense_src = None
-        self._dense = None
-
-    def _materialize(self) -> dict[Reg, set[Reg]]:
-        """Expand the dense form into ``dict[Reg, set[Reg]]``.
-
-        Symmetric insertion: each forward edge is walked once and lands
-        in both endpoint sets, so the reverse direction is never built
-        as a bitmask at all.
-        """
-        regs, order, masks = self._dense_src  # type: ignore[misc]
-        adj: dict[Reg, set[Reg]] = {}
-        for i in order:
-            adj[regs[i]] = set()
-        for i in order:
-            mask = masks[i]
-            if not mask:
-                continue
-            reg_i = regs[i]
-            set_i = adj[reg_i]
-            base = 0
-            while mask:
-                chunk = mask & 0xFFFFFFFF
-                while chunk:
-                    low = chunk & -chunk
-                    reg_j = regs[base + low.bit_length() - 1]
-                    set_i.add(reg_j)
-                    adj[reg_j].add(reg_i)
-                    chunk ^= low
-                mask >>= 32
-                base += 32
-        self._adj = adj
-        return adj
-
-    def dense(
-        self,
-    ) -> tuple[list[Reg], dict[Reg, int], list[list[int]], list[int]]:
-        """``(nodes, ids, neighbor_ids, widths)`` over dense node ids.
-
-        Node order matches :attr:`nodes`; neighbour lists are symmetric.
-        Cached; invalidated by any mutation of the graph.
-        """
-        cached = self._dense
-        if cached is not None:
-            return cached
-        if self._adj is not None:
-            nodes = list(self._adj)
-            ids = {v: i for i, v in enumerate(nodes)}
-            nbr = [[ids[n] for n in self._adj[v]] for v in nodes]
-            widths = [v.width for v in nodes]
+    def __init__(
+        self, regs: Sequence[Reg] = (), fwd: Sequence[int] = ()
+    ) -> None:
+        self.regs = regs = list(regs)
+        self.fwd = fwd = list(fwd)
+        n = len(regs)
+        # Transpose through one string of the rows' bits, most
+        # significant first, last row first: column k of it, read as a
+        # binary number, is the reverse mask of node n - 1 - k.
+        rows = "".join([format(mask, "b").zfill(n) for mask in reversed(fwd)])
+        self.rev = rev = [int(rows[k::n], 2) for k in range(n - 1, -1, -1)]
+        #: width -> mask of the nodes of that width
+        self.by_width = by_width = width_classes(regs)
+        self.edges = [f.bit_count() + r.bit_count() for f, r in zip(fwd, rev)]
+        if by_width.keys() == {1}:
+            self.degree = self.edges
         else:
-            regs, order, masks = self._dense_src  # type: ignore[misc]
-            nodes = [regs[i] for i in order]
-            remap = [0] * len(regs)
-            for k, bit in enumerate(order):
-                remap[bit] = k
-            ids = {v: k for k, v in enumerate(nodes)}
-            widths = [v.width for v in nodes]
-            nbr = [[] for _ in nodes]
-            for k, i in enumerate(order):
-                mask = masks[i]
-                if not mask:
-                    continue
-                lst_k = nbr[k]
-                base = 0
-                while mask:
-                    chunk = mask & 0xFFFFFFFF
-                    while chunk:
-                        low = chunk & -chunk
-                        kj = remap[base + low.bit_length() - 1]
-                        lst_k.append(kj)
-                        nbr[kj].append(k)
-                        chunk ^= low
-                    mask >>= 32
-                    base += 32
-        self._dense = (nodes, ids, nbr, widths)
-        return self._dense
-
-    def add_node(self, var: Reg) -> None:
-        if self._adj is None:
-            # Fast path for dense graphs: adding an existing node is a
-            # no-op and must not force set materialisation.
-            _, ids, _, _ = self.dense()
-            if var in ids:
-                return
-        self._dense = None
-        self.adjacency.setdefault(var, set())
-
-    def add_edge(self, a: Reg, b: Reg) -> None:
-        if a == b:
-            return
-        self._dense = None
-        adj = self.adjacency
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+            self.degree = [
+                slot_count(f, by_width) + slot_count(r, by_width)
+                for f, r in zip(fwd, rev)
+            ]
 
     def interferes(self, a: Reg, b: Reg) -> bool:
-        return b in self.adjacency.get(a, ())
+        regs = self.regs
+        if a not in regs or b not in regs:
+            return False
+        i = regs.index(a)
+        return bool((self.fwd[i] | self.rev[i]) >> regs.index(b) & 1)
 
-    def neighbors(self, var: Reg) -> set[Reg]:
-        return self.adjacency[var]
-
-    def blocking_degree(self, var: Reg, removed: set[Reg]) -> int:
-        """Sum of neighbour widths, ignoring already-removed nodes."""
-        return sum(
-            n.width for n in self.adjacency[var] if n not in removed
-        )
-
-    @property
-    def nodes(self) -> list[Reg]:
-        if self._adj is None:
-            regs, order, _ = self._dense_src  # type: ignore[misc]
-            return [regs[i] for i in order]
-        return list(self._adj)
-
-    def copy(self) -> "InterferenceGraph":
-        clone = InterferenceGraph()
-        clone.adjacency = {v: set(ns) for v, ns in self.adjacency.items()}
-        return clone
+    def neighbors(self, var: Reg) -> list[Reg]:
+        i = self.regs.index(var)
+        return [self.regs[j] for j in bit_indices(self.fwd[i] | self.rev[i])]
 
     def __len__(self) -> int:
-        if self._adj is None:
-            return len(self._dense_src[1])  # type: ignore[index]
-        return len(self._adj)
+        return len(self.regs)
+
+
+def width_classes(regs: list[Reg]) -> dict[int, int]:
+    """Width -> mask of the registers of that width."""
+    classes: dict[int, int] = {}
+    for i, reg in enumerate(regs):
+        if reg.width != 1:
+            classes[reg.width] = classes.get(reg.width, 0) | 1 << i
+    narrow = (1 << len(regs)) - 1
+    for members in classes.values():
+        narrow ^= members
+    if narrow:
+        classes[1] = narrow
+    return classes
+
+
+def slot_count(mask: int, by_width: dict[int, int]) -> int:
+    """Summed width of the registers in ``mask``, in slot units."""
+    return sum(
+        width * (mask & members).bit_count()
+        for width, members in by_width.items()
+    )
+
+
+#: the set bit positions of each byte value, ascending: walking a mask's
+#: ``to_bytes`` through this table beats peeling its low bits one by one
+BYTE_BITS = tuple(
+    tuple(b for b in range(8) if value >> b & 1) for value in range(256)
+)
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return [
+        8 * k + b
+        for k, byte in enumerate(
+            mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        )
+        for b in BYTE_BITS[byte]
+    ]
 
 
 def build_interference(
@@ -191,7 +126,9 @@ def build_interference(
 ) -> InterferenceGraph:
     """Construct the interference graph for a (non-SSA) function.
 
-    Device-function arguments are treated as defined at function entry.
+    Every register of a reachable instruction is a node, and so is
+    every device-function argument, which is treated as defined at
+    function entry.
     """
     cfg = cfg or CFG(fn)
     # Mask-domain liveness shares its dense numbering with this walk, so
@@ -207,28 +144,19 @@ def build_interference(
             index[reg] = len(numbering.regs)
             numbering.regs.append(reg)
 
-    present = 0  # nodes of the graph, as a bitmask
-    adjacency = [0] * len(numbering.regs)
-
+    fwd = [0] * len(numbering.regs)
     inst_masks = numbering.inst_masks
     for label in cfg.rpo:
         live = live_out_masks[label]
-        present |= live
         for def_bit, read_mask, move_mask, is_phi in reversed(
             inst_masks[label]
         ):
             if def_bit >= 0:
-                dmask = 1 << def_bit
-                present |= dmask
-                others = live & ~dmask & ~move_mask
+                live &= ~(1 << def_bit)
+                others = live & ~move_mask if move_mask else live
                 if others:
-                    # One-directional during the walk; symmetrised once
-                    # at the end (the walk never reads adjacency, so
-                    # deferring the reverse edges changes nothing).
-                    adjacency[def_bit] |= others
-                live &= ~dmask
+                    fwd[def_bit] |= others
             if not is_phi:
-                present |= read_mask
                 live |= read_mask
 
     # Arguments are defined "before" the entry block: they interfere with
@@ -236,31 +164,9 @@ def build_interference(
     entry_live = live_in_masks[cfg.entry]
     for arg in args:
         abit = index[arg]
-        present |= 1 << abit
-        others = entry_live & ~(1 << abit)
-        adjacency[abit] |= others
+        fwd[abit] |= entry_live & ~(1 << abit)
 
-    # Hand the dense form to the graph as-is; the dict[Reg, set[Reg]]
-    # adjacency is materialised lazily, only for consumers that read it.
-    graph = InterferenceGraph()
-    graph._adj = None
-    graph._dense_src = (numbering.regs, _bit_indices(present), adjacency)
-    return graph
-
-
-def _bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out: list[int] = []
-    base = 0
-    while mask:
-        chunk = mask & 0xFFFFFFFF
-        while chunk:
-            low = chunk & -chunk
-            out.append(base + low.bit_length() - 1)
-            chunk ^= low
-        mask >>= 32
-        base += 32
-    return out
+    return InterferenceGraph(numbering.regs, fwd)
 
 
 def move_pairs(fn: Function) -> list[tuple[Reg, Reg]]:

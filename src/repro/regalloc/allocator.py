@@ -375,8 +375,6 @@ def _allocate_function(
             report = coalesce_moves(fn, graph, budget, precolored)
             if report.replacements:
                 graph = build_interference(fn)
-        for arg in precolored:
-            graph.add_node(arg)
         result = color_graph(graph, budget, precolored=precolored)
         if not result.spilled:
             return result.coloring, spilled_count

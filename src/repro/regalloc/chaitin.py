@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.ir.interference import InterferenceGraph
+from repro.ir.interference import BYTE_BITS, InterferenceGraph
 from repro.isa.registers import (
     Reg,
     is_aligned,
@@ -55,10 +55,6 @@ class ColoringResult:
         return range(base, base + var.width)
 
 
-def _sort_key(var: Reg) -> tuple[int, int, int]:
-    return reg_sort_key(var)
-
-
 def color_graph(
     graph: InterferenceGraph,
     num_colors: int,
@@ -75,127 +71,114 @@ def color_graph(
         if align_wide and not is_aligned(base, var.width):
             raise ValueError(f"precoloured {var} at {base} is misaligned")
 
-    # Dense-index domain: graph nodes are numbered once and the
-    # colouring lives in a flat array, so the hot probe loop walks
-    # ``list[int]`` neighbour ids instead of hashing Reg objects into a
-    # dict per lookup.  Same slots assigned as the Reg-keyed original.
-    nodes, _, nbr_ids, node_widths = graph.dense()
-    stack_ids = _stack_order(
-        nodes, nbr_ids, node_widths, precolored, num_colors
-    )
-    steps = [
-        required_alignment(w) if align_wide else 1 for w in node_widths
-    ]
-    masks = [(1 << w) - 1 for w in node_widths]
-
-    slot_of = [-1] * len(nodes)
-    for i, v in enumerate(nodes):
-        if v in precolored:
-            slot_of[i] = precolored[v]
+    regs, fwd, rev = graph.regs, graph.fwd, graph.rev
+    pinned = []
+    if precolored:
+        pinned = [i for i, v in enumerate(regs) if v in precolored]
+    stack = _stack_order(graph, pinned, num_colors)
+    # Fig. 4c select over per-slot occupancy: occupied[s] is the mask of
+    # the nodes holding slot s, so a slot range is free for node i when
+    # none of its slots meets i's neighbour mask.
+    occupied = [0] * num_colors
+    for i in pinned:
+        base = precolored[regs[i]]
+        for s in range(base, base + regs[i].width):
+            occupied[s] |= 1 << i
+    coloring = dict(precolored)
     spilled: list[Reg] = []
-    for i in reversed(stack_ids):
-        used = 0
-        for j in nbr_ids[i]:
-            base = slot_of[j]
-            if base < 0:
-                continue
-            width = node_widths[j]
-            if base + width > num_colors:
-                width = num_colors - base
-                if width <= 0:
-                    continue
-            used |= ((1 << width) - 1) << base
-        mask = masks[i]
-        for base in range(0, num_colors - node_widths[i] + 1, steps[i]):
-            if not (used >> base) & mask:
-                slot_of[i] = base
-                break
+    for i in reversed(stack):
+        var = regs[i]
+        width = var.width
+        nbrs = fwd[i] | rev[i]
+        if width == 1:
+            for base in range(num_colors):
+                if not occupied[base] & nbrs:
+                    break
+            else:
+                base = -1
         else:
+            step = required_alignment(width) if align_wide else 1
+            for base in range(0, num_colors - width + 1, step):
+                for s in range(base, base + width):
+                    if occupied[s] & nbrs:
+                        break
+                else:
+                    break
+            else:
+                base = -1
+        if base < 0:
             # Fig. 4c: spill the uncolourable variable and go on below
             # it.  The slots given out so far were chosen while it had
             # none, so they stand as they are without it.
-            spilled.append(nodes[i])
-    coloring = dict(precolored)
-    for i in reversed(stack_ids):
-        if slot_of[i] >= 0:
-            coloring[nodes[i]] = slot_of[i]
+            spilled.append(var)
+            continue
+        coloring[var] = base
+        for s in range(base, base + width):
+            occupied[s] |= 1 << i
     return ColoringResult(coloring=coloring, spilled=spilled)
 
 
 def _stack_order(
-    nodes: list[Reg],
-    nbr_ids: list[list[int]],
-    node_widths: list[int],
-    precolored: dict[Reg, int],
-    num_colors: int,
+    graph: InterferenceGraph, pinned: list[int], num_colors: int
 ) -> list[int]:
     """Fig. 4b ordering: trivial picks first, else optimistic candidates.
 
-    Runs entirely over dense node ids (see ``InterferenceGraph.dense``).
-    Candidates are the nodes that are not precoloured, in tie-break
-    order; their blocked-width and edge counts start against the full
-    graph (precoloured nodes always block).  Degrees are maintained
-    incrementally — removing a node decrements its neighbours'
-    blocked-width and edge counts — instead of rescanning every
-    neighbour set per pick, which keeps the ordering O(n² + E) while
-    selecting the exact same stack as the original Reg-domain scan.
-    Returns the stack as dense node ids.
+    Candidates are the nodes not ``pinned`` (precoloured), in
+    :func:`reg_sort_key` order.  A candidate's blocked count starts at
+    its :attr:`~InterferenceGraph.degree` and its edge count at its
+    :attr:`~InterferenceGraph.edges`, so pinned nodes always block.
+    Both count the bits of ``fwd`` and ``rev`` separately: a pair in
+    which each value is live at the other's definition blocks twice the
+    neighbour's width and counts two edges.  The stacks, and so the
+    digests of the 168 benchmark fat binaries, depend on that double
+    count.  Removing a node walks the bits of its ``fwd`` and ``rev``
+    masks that still wait to qualify (such a pair twice) and takes its
+    width off their blocked counts.  Returns the stack as node ids.
     """
-    order = sorted(
-        (i for i, v in enumerate(nodes) if v not in precolored),
-        key=lambda i: _sort_key(nodes[i]),
-    )
-    pos_of = [-1] * len(nodes)  # graph id -> candidate position
-    for p, gid in enumerate(order):
-        pos_of[gid] = p
-    widths = [node_widths[g] for g in order]
-    blocked = [0] * len(order)
-    edges = [0] * len(order)
-    neighbor_pos: list[list[int]] = []
-    for p, g in enumerate(order):
-        nbrs: list[int] = []
-        b = 0
-        e = 0
-        for j in nbr_ids[g]:
-            b += node_widths[j]
-            e += 1
-            q = pos_of[j]
-            if q >= 0:
-                nbrs.append(q)
-        blocked[p] = b
-        edges[p] = e
-        neighbor_pos.append(nbrs)
-
-    # ``blocked`` only ever decreases, so "trivially colourable" is
-    # monotone: once a node qualifies it stays qualified until removed.
-    # A lazy min-heap keyed (width, position) therefore yields exactly
-    # the node the original linear scan picked — the first node of
-    # strictly-minimal width among the trivially-colourable ones.
-    n = len(order)
-    alive = [True] * n
-    pushed = [False] * n
+    regs, fwd, rev = graph.regs, graph.fwd, graph.rev
+    n = len(regs)
+    widths = [v.width for v in regs]
+    if pinned:
+        skip = set(pinned)
+        order = [i for i in range(n) if i not in skip]
+    else:
+        order = list(range(n))
+    keys = [reg_sort_key(v) for v in regs]
+    order.sort(key=keys.__getitem__)
+    pos_of = [0] * n  # node id -> candidate position
+    for p, i in enumerate(order):
+        pos_of[i] = p
+    edges = list(graph.edges)
+    # room[i] = C - width - blocked: node i is trivially colourable
+    # when it is >= 0.  Removals only raise it, so once a node qualifies
+    # it stays qualified, and a min-heap keyed (width, position) yields
+    # exactly the node a linear scan would pick: the first node of
+    # strictly minimal width among the trivially colourable ones.  A
+    # node is pushed once and leaves only by a pop (an optimistic pick
+    # happens only when the heap is empty), so the heap holds no stale
+    # entries.  Counts matter only for the nodes still waiting to
+    # qualify: the flags serve the optimistic scan, the mask the walks.
+    room = [num_colors - w - d for w, d in zip(widths, graph.degree)]
+    waiting = [False] * n
+    waiting_mask = 0
     trivial: list[tuple[int, int]] = []
-    for i in range(n):
-        if widths[i] + blocked[i] <= num_colors:
-            trivial.append((widths[i], i))
-            pushed[i] = True
+    for i in order:
+        if room[i] >= 0:
+            trivial.append((widths[i], pos_of[i]))
+        else:
+            waiting[i] = True
+            waiting_mask |= 1 << i
     heapq.heapify(trivial)
     stack: list[int] = []
-    left = n
-    while left:
-        pick = -1
-        while trivial:
-            _, i = trivial[0]
-            if alive[i]:
-                pick = i
-                heapq.heappop(trivial)
-                break
-            heapq.heappop(trivial)
-        if pick < 0:
+    while waiting_mask:
+        if trivial:
+            pick = order[heapq.heappop(trivial)[1]]
+        else:
             # No trivially colourable node: optimistic spill candidate
             # with minimal width, then minimal edge count (Fig. 4b).
-            for i in range(n):
-                if alive[i] and (
+            pick = -1
+            for i in order:
+                if waiting[i] and (
                     pick < 0
                     or widths[pick] > widths[i]
                     or (
@@ -204,14 +187,26 @@ def _stack_order(
                     )
                 ):
                     pick = i
-        stack.append(order[pick])
-        alive[pick] = False
-        left -= 1
-        for j in neighbor_pos[pick]:
-            if alive[j]:
-                blocked[j] -= widths[pick]
-                edges[j] -= 1
-                if not pushed[j] and widths[j] + blocked[j] <= num_colors:
-                    heapq.heappush(trivial, (widths[j], j))
-                    pushed[j] = True
+            waiting[pick] = False
+            waiting_mask ^= 1 << pick
+        stack.append(pick)
+        width = widths[pick]
+        for mask in (fwd[pick], rev[pick]):
+            mask &= waiting_mask
+            base = 0
+            nbytes = (mask.bit_length() + 7) >> 3
+            for byte in mask.to_bytes(nbytes, "little"):
+                for j in BYTE_BITS[byte]:
+                    j += base
+                    r = room[j] + width
+                    room[j] = r
+                    edges[j] -= 1
+                    if r >= 0:
+                        heapq.heappush(trivial, (widths[j], pos_of[j]))
+                        waiting[j] = False
+                        waiting_mask ^= 1 << j
+                base += 8
+    # Nothing waits any more, so nothing else is pushed: the rest leave
+    # the heap in key order.
+    stack.extend([order[p] for _, p in sorted(trivial)])
     return stack

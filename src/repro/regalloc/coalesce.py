@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.function import Function
-from repro.ir.interference import InterferenceGraph, move_pairs
+from repro.ir.interference import (
+    InterferenceGraph,
+    bit_indices,
+    move_pairs,
+    slot_count,
+)
 from repro.isa.instructions import Opcode
 from repro.isa.registers import Reg, VirtualReg
 
@@ -41,6 +46,13 @@ def coalesce_moves(
     The function is rewritten (sources of merged pairs replaced by the
     representative; degenerate self-moves dropped).  The caller must
     rebuild the interference graph afterwards.
+
+    Runs on the graph's masks.  A node's adjacency is ``fwd | rev``, so
+    a pair in which each value is live at the other's definition is one
+    neighbour there; its degree starts at the graph's
+    :attr:`~repro.ir.interference.InterferenceGraph.degree`, which
+    counts such a pair twice.  The merges, and so the 168 benchmark fat
+    binaries' digests, depend on that.
     """
     precolored = precolored or {}
     report = CoalesceReport()
@@ -49,17 +61,21 @@ def coalesce_moves(
     if not pairs:
         return report
 
-    # Dense-id domain (see ``InterferenceGraph.dense``): the merge loop
-    # runs over int ids and int sets, so no Reg-object adjacency sets
-    # are materialised or hashed.  Same merges, same report.
-    nodes, graph_ids, nbr_ids, widths = graph.dense()
-    ids = dict(graph_ids)  # extended locally for regs not in the graph
-    nodes = list(nodes)
-    widths = list(widths)
-    adjacency = [set(ns) for ns in nbr_ids]
-    # Degrees (neighbour widths, slot units) maintained incrementally
-    # across merges instead of re-summed per Briggs test.
-    deg = [sum(widths[n] for n in ns) for ns in nbr_ids]
+    nodes = list(graph.regs)
+    ids = {v: i for i, v in enumerate(nodes)}  # extended by gid below
+    adjacency = [f | r for f, r in zip(graph.fwd, graph.rev)]
+    # Degrees (neighbour widths, slot units) maintained across merges,
+    # and the mask of the nodes whose degree is significant (>= C).
+    deg = list(graph.degree)
+    heavy = 0
+    for i, d in enumerate(deg):
+        if d >= num_colors:
+            heavy |= 1 << i
+    by_width = dict(graph.by_width)
+    pre_mask = 0
+    for v in precolored:
+        if v in ids:
+            pre_mask |= 1 << ids[v]
 
     def gid(v: Reg) -> int:
         i = ids.get(v)
@@ -67,12 +83,10 @@ def coalesce_moves(
             i = len(nodes)
             ids[v] = i
             nodes.append(v)
-            widths.append(v.width)
-            adjacency.append(set())
+            adjacency.append(0)
             deg.append(0)
+            by_width[v.width] = by_width.get(v.width, 0) | 1 << i
         return i
-
-    pre_ids = {ids[v] for v in precolored if v in ids}
 
     # Union-find over variables, so chains of moves collapse.
     parent: dict[int, int] = {}
@@ -88,42 +102,42 @@ def coalesce_moves(
         if a == b:
             report.merged_pairs += 1
             continue
-        if a in pre_ids or b in pre_ids:
+        bit_a, bit_b = 1 << a, 1 << b
+        if (bit_a | bit_b) & pre_mask:
             continue
         if not isinstance(nodes[a], VirtualReg) or not isinstance(
             nodes[b], VirtualReg
         ):
             continue
-        if widths[a] != widths[b]:
+        width = nodes[a].width
+        if width != nodes[b].width:
             continue
-        if b in adjacency[a]:
+        if adjacency[a] & bit_b:
             continue  # interfering: must stay separate
         neighbors = adjacency[a] | adjacency[b]
-        significant = sum(
-            widths[n]
-            for n in neighbors
-            if deg[n] >= num_colors or n in pre_ids
-        )
-        if significant + widths[a] > num_colors:
+        significant = slot_count(neighbors & (heavy | pre_mask), by_width)
+        if significant + width > num_colors:
             continue  # Briggs test failed: might no longer colour
-        # Merge b into a.
+        # Merge b into a.  Only b's neighbours change: each loses b, and
+        # gains a unless it already neighboured a, in which case the
+        # merge removes one of its two equal-width neighbours.
         parent[b] = a
-        merged = neighbors - {a, b}
-        adjacency[a] = merged
-        wb = widths[b]  # == widths[a], checked above
-        for n in merged:
-            nbrs = adjacency[n]
-            if b in nbrs:
-                nbrs.discard(b)
-                if a in nbrs:
-                    # n saw both halves: the merge removes one of them.
-                    deg[n] -= wb
-                else:
-                    nbrs.add(a)  # b swapped for equal-width a: no change
-            # else: n neighboured a only — untouched by the merge.
-        adjacency[b] = set()
-        deg[a] = sum(widths[n] for n in merged)
+        for n in bit_indices(adjacency[b]):
+            nbrs = adjacency[n] & ~bit_b
+            if nbrs & bit_a:
+                deg[n] -= width
+                if deg[n] < num_colors:
+                    heavy &= ~(1 << n)
+            else:
+                nbrs |= bit_a
+            adjacency[n] = nbrs
+        adjacency[a] = neighbors
+        adjacency[b] = 0
+        deg[a] = slot_count(neighbors, by_width)
         deg[b] = 0
+        heavy &= ~(bit_a | bit_b)
+        if deg[a] >= num_colors:
+            heavy |= bit_a
         report.merged_pairs += 1
         report.replacements[nodes[b]] = nodes[a]
 

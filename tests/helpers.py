@@ -117,6 +117,33 @@ def call_kernel() -> Module:
     )
 
 
+def live_across_call_kernel() -> Module:
+    """A kernel holding two values across a call to a device function
+    that itself needs two registers, so the call tree needs more
+    registers than the kernel's own max-live."""
+    return module_from_asm(
+        """
+        .module across
+        .kernel k shared=0
+        BB0:
+            S2R %v0, %tid
+            SHL %v1, %v0, 2
+            LD.global %v2, [%v1]
+            CALL %v3, mix(%v2)
+            IADD %v4, %v0, %v3
+            ST.global [%v1], %v4
+            EXIT
+        .end
+        .func mix args=1 returns=1
+        BB0:
+            FMUL %v1, %v0, 3.0
+            FADD %v2, %v1, %v0
+            RET %v2
+        .end
+        """
+    )
+
+
 def copy_kernel() -> Module:
     """A register copy used beside its source: interference leaves the
     pair unconnected, so both fit one register."""

@@ -98,7 +98,8 @@ class TestConstruction:
             """
         )
         graph = build_interference(module.kernel())
-        assert graph.blocking_degree(v(0), removed=set()) >= 2  # w2 counts 2
+        degree = graph.degree[graph.regs.index(v(0))]
+        assert degree >= 2  # w2 counts 2
 
 
 class TestMovePairs:
@@ -122,13 +123,6 @@ class TestMovePairs:
 
 
 class TestGraphOps:
-    def test_copy_is_independent(self):
-        fn = loop_kernel().kernel()
-        graph = build_interference(fn)
-        clone = graph.copy()
-        clone.add_edge(v(90), v(91))
-        assert not graph.interferes(v(90), v(91))
-
     def test_len_counts_nodes(self):
         fn = straight_line_kernel().kernel()
         graph = build_interference(fn)

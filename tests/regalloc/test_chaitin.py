@@ -5,10 +5,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ir.interference import InterferenceGraph
+from repro.ir.interference import InterferenceGraph, build_interference
 from repro.isa.registers import VirtualReg, is_aligned, required_alignment
 from repro.regalloc import chaitin
 from repro.regalloc.chaitin import color_graph
+from tests.helpers import module_from_asm
+from tests.regalloc.reference_chaitin import (
+    neighbor_lists,
+    reference_color_graph,
+    reference_stack_order,
+)
 
 
 def v(i, w=1):
@@ -16,12 +22,14 @@ def v(i, w=1):
 
 
 def graph_from_edges(nodes, edges):
-    g = InterferenceGraph()
-    for node in nodes:
-        g.add_node(node)
+    """An undirected graph: each edge recorded once, in one direction."""
+    ids = {node: i for i, node in enumerate(nodes)}
+    fwd = [0] * len(nodes)
     for a, b in edges:
-        g.add_edge(a, b)
-    return g
+        i, j = ids[a], ids[b]
+        if i != j and not fwd[j] >> i & 1:
+            fwd[i] |= 1 << j
+    return InterferenceGraph(nodes, fwd)
 
 
 def assert_valid(graph, result, num_colors, align=True):
@@ -160,6 +168,57 @@ class TestMinimumRegisters:
         assert color_graph(g, 3).spilled
 
 
+class TestDoubleCountedPair:
+    """%v0 and %v1.w2 are each live at the other's definition, so the
+    build records the pair from both definitions: %v1 sits in both
+    ``fwd`` and ``rev`` of %v0.  The stack order counts such a pair
+    twice (the fat binaries' digests depend on it); %v2 neighbours %v1
+    from one definition only."""
+
+    SOURCE = """
+        .module m
+        .kernel k shared=0
+        BB0:
+            S2R %v0, %tid
+            LD.global %v1.w2, [%v0]
+            IADD %v0, %v0, 4
+            ST.global [%v0], %v1.w2
+            S2R %v2, %tid
+            ST.global [%v2], %v1.w2
+            EXIT
+        .end
+        """
+
+    def _graph(self):
+        graph = build_interference(module_from_asm(self.SOURCE).kernel())
+        ids = [graph.regs.index(r) for r in (v(0), v(1, 2), v(2))]
+        return graph, ids
+
+    def test_pair_recorded_from_both_definitions(self):
+        graph, (i0, i1, i2) = self._graph()
+        assert graph.fwd[i0] >> i1 & 1 and graph.fwd[i1] >> i0 & 1
+        assert graph.fwd[i2] >> i1 & 1 and not graph.rev[i2]
+
+    def test_blocked_starts_at_twice_the_width(self):
+        graph, (i0, i1, i2) = self._graph()
+        assert graph.degree[i0] == 2 * 2 and graph.edges[i0] == 2
+        assert graph.degree[i1] == 2 * 1 + 1 and graph.edges[i1] == 3
+        assert graph.degree[i2] == 2
+
+    def test_stack_is_the_oracles(self):
+        # Counted twice at 4 colours, %v0 (1 + 4) and %v1 (2 + 3) wait
+        # and %v2 goes first; counted once, %v0 would (1 + 2 <= 4).
+        graph, (i0, i1, i2) = self._graph()
+        nodes, _, nbr_ids, widths = neighbor_lists(graph)
+        stack = chaitin._stack_order(graph, [], 4)
+        assert stack == reference_stack_order(nodes, nbr_ids, widths, {}, 4)
+        assert stack == [i2, i1, i0]
+        result = color_graph(graph, 4)
+        expected = reference_color_graph(graph, 4)
+        assert list(result.coloring.items()) == list(expected.coloring.items())
+        assert result.spilled == expected.spilled == []
+
+
 @given(
     n=st.integers(min_value=1, max_value=14),
     density=st.floats(min_value=0.0, max_value=1.0),
@@ -176,12 +235,10 @@ def test_random_graphs_always_valid(n, density, colors, seed, wide):
     nodes = [
         v(i, rng.choice([1, 1, 1, 2]) if wide else 1) for i in range(n)
     ]
-    g = InterferenceGraph()
-    for node in nodes:
-        g.add_node(node)
-    for a, b in itertools.combinations(nodes, 2):
-        if rng.random() < density:
-            g.add_edge(a, b)
+    g = graph_from_edges(
+        nodes,
+        [e for e in itertools.combinations(nodes, 2) if rng.random() < density],
+    )
     result = color_graph(g, colors)
     assert_valid(g, result, colors)
     # Everything is either coloured or spilled, never both.
@@ -194,8 +251,8 @@ def test_random_graphs_always_valid(n, density, colors, seed, wide):
 def _restart_coloring(graph, num_colors, precolored):
     """Reference: the Fig. 4c loop that recoloured the whole stack from
     the top after every spill, instead of carrying on below it."""
-    nodes, _, nbr_ids, node_widths = graph.dense()
-    stack_ids = chaitin._stack_order(
+    nodes, _, nbr_ids, node_widths = neighbor_lists(graph)
+    stack_ids = reference_stack_order(
         nodes, nbr_ids, node_widths, precolored, num_colors
     )
     spilled = []
@@ -264,12 +321,10 @@ def test_resumed_coloring_matches_restart_reference(
     nodes = [
         v(i, rng.choice([1, 1, 1, 2, 4]) if wide else 1) for i in range(n)
     ]
-    g = InterferenceGraph()
-    for node in nodes:
-        g.add_node(node)
-    for a, b in itertools.combinations(nodes, 2):
-        if rng.random() < density:
-            g.add_edge(a, b)
+    g = graph_from_edges(
+        nodes,
+        [e for e in itertools.combinations(nodes, 2) if rng.random() < density],
+    )
     # Pin the first few nodes to consecutive aligned slots, the way the
     # calling convention pins device-function arguments.
     precolored = {}

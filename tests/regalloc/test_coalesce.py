@@ -5,6 +5,7 @@ import pytest
 from repro.ir.interference import build_interference
 from repro.ir.ssa import construct_ssa, destruct_ssa
 from repro.isa.instructions import Opcode
+from repro.isa.registers import VirtualReg
 from repro.regalloc.coalesce import coalesce_moves
 from repro.regalloc import allocate_module, minimal_budget
 from repro.sim.interp import LaunchConfig, run_kernel
@@ -43,6 +44,9 @@ class TestCoalesceMoves:
         assert run_kernel(module, launch) == pytest.approx(expected)
 
     def test_interfering_pairs_not_merged(self):
+        # %v0 is redefined while its copy %v1 is live, so the pair
+        # interferes; %v2 copies %v0 after its last use, so that pair
+        # does not.
         module = module_from_asm(
             """
             .module m
@@ -50,22 +54,40 @@ class TestCoalesceMoves:
             BB0:
                 S2R %v0, %tid
                 MOV %v1, %v0
-                IADD %v2, %v0, %v1
+                IADD %v0, %v0, 1
+                MOV %v2, %v0
                 ST.global [%v2], %v1
-                ST.global [%v2+4], %v0
                 EXIT
             .end
             """
         )
         fn = module.kernel()
+        v0, v1 = VirtualReg(0, 1), VirtualReg(1, 1)
         graph = build_interference(fn)
-        # %v0 stays live past the MOV's destination use: they interfere
-        # through the later add?  Actually MOV-related and both live ->
-        # the graph decides; the invariant is the merge set is clean.
+        assert graph.interferes(v0, v1)
         report = coalesce_moves(fn, graph, 8)
+        assert report.replacements  # the %v2 copy merges
+        for merged, kept in report.replacements.items():
+            assert not graph.interferes(merged, kept)
+
+        def final(v):
+            return report.replacements.get(v, v)
+
+        assert final(v0) != final(v1)
         rebuilt = build_interference(fn)
-        for a in rebuilt.nodes:
+        for a in rebuilt.regs:
             assert a not in report.replacements
+
+    def test_graph_left_intact(self):
+        """The coalescer merges on copies of the graph's masks and
+        degrees: the allocator colours the same graph when no pair
+        merged, so it must read as built."""
+        fn = self._prepared(loop_kernel)
+        graph = build_interference(fn)
+        before = (list(graph.fwd), list(graph.rev), list(graph.degree))
+        report = coalesce_moves(fn, graph, 16)
+        assert report.replacements
+        assert (graph.fwd, graph.rev, graph.degree) == before
 
     def test_self_moves_removed(self):
         fn = self._prepared(diamond_kernel)
