@@ -293,11 +293,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.arch.occupancy import occupancy_levels
     from repro.compiler.realize import RealizeError, realize_occupancy
+    from repro.regalloc.allocator import PreparedModule
     from repro.runtime.engine import ExecutionEngine
     from repro.runtime.session import Workload
 
     module = _load_module(Path(args.input))
     kernel = args.kernel or module.kernel().name
+    prepared = PreparedModule(module, kernel)
     arch = ARCHS[args.arch]
     launch = LaunchConfig(grid_blocks=args.grid, block_size=args.block_size)
     workload = Workload(launch=launch, max_events_per_warp=args.max_events)
@@ -307,7 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for warps in occupancy_levels(arch, args.block_size):
         try:
             version = realize_occupancy(
-                module, kernel, arch, args.block_size, warps,
+                prepared, kernel, arch, args.block_size, warps,
                 conservative=True, strategy=strategy,
             )
         except RealizeError as exc:

@@ -19,13 +19,15 @@ search starts from it.
 from __future__ import annotations
 
 from repro.ir.function import Module
-from repro.regalloc.stack import kernel_max_live
+from repro.regalloc.allocator import PreparedModule, prepare
 
 
 def tuning_direction(
-    module: Module, kernel_name: str, full_occupancy_registers: int
+    module: Module | PreparedModule,
+    kernel_name: str,
+    full_occupancy_registers: int,
 ) -> str:
     """Fig. 8 lines 1–4: "increasing" iff max-live >= the threshold."""
-    if kernel_max_live(module, kernel_name) >= full_occupancy_registers:
+    if prepare(module, kernel_name).max_live() >= full_occupancy_registers:
         return "increasing"
     return "decreasing"

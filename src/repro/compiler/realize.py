@@ -25,7 +25,9 @@ from repro.isa.encoding import decode_module, encode_module
 from repro.regalloc.allocator import (
     AllocationOutcome,
     BudgetError,
+    PreparedModule,
     allocate_module,
+    prepare,
 )
 from repro.regalloc.strategy import AllocationStrategy, get_strategy
 
@@ -79,7 +81,7 @@ class KernelVersion:
 
 
 def realize_occupancy(
-    module: Module,
+    module: Module | PreparedModule,
     kernel_name: str,
     arch: GpuArchitecture,
     block_size: int,
@@ -99,10 +101,13 @@ def realize_occupancy(
     under a shared-spill strategy the allocator promotes *every* spill
     slot, so an infeasible target (shared frame caps occupancy below
     it) surfaces as :class:`RealizeError` instead of silently shipping
-    a lower-occupancy candidate.
+    a lower-occupancy candidate.  A plain ``module`` is prepared here
+    (:class:`~repro.regalloc.allocator.PreparedModule`); pass one
+    prepared form to realise several levels of the same kernel.
     """
     strat = get_strategy(strategy)
-    user_smem = module.functions[kernel_name].shared_bytes
+    prepared = prepare(module, kernel_name)
+    user_smem = prepared.source.functions[kernel_name].shared_bytes
     reg_budget = strat.max_regs_for_warps(
         arch, block_size, target_warps, user_smem, cache_config
     )
@@ -125,7 +130,7 @@ def realize_occupancy(
     for _ in range(8):
         try:
             outcome = allocate_module(
-                module,
+                prepared,
                 kernel_name,
                 reg_budget,
                 block_size=block_size,

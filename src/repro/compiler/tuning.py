@@ -39,10 +39,11 @@ from repro.isa.encoding import encode_module
 from repro.obs.spans import span
 from repro.regalloc.allocator import (
     BudgetError,
+    PreparedModule,
     allocate_module,
     minimal_budget,
+    prepare,
 )
-from repro.regalloc.stack import kernel_max_live
 from repro.regalloc.strategy import (
     DEFAULT_STRATEGY_ID,
     AllocationStrategy,
@@ -89,7 +90,7 @@ class TuningPlan:
 
 
 def original_version(
-    module: Module,
+    module: Module | PreparedModule,
     kernel_name: str,
     arch: GpuArchitecture,
     block_size: int,
@@ -98,15 +99,16 @@ def original_version(
 ) -> KernelVersion:
     """The paper's *original*: minimal spill-free registers (or the cap)."""
     strat = get_strategy(strategy)
+    prepared = prepare(module, kernel_name)
     cap = arch.max_registers_per_thread
     try:
-        _, outcome = minimal_budget(module, kernel_name, upper_bound=cap)
+        _, outcome = minimal_budget(prepared, kernel_name, upper_bound=cap)
     except BudgetError:
         # Cannot fit spill-free under the hardware cap: use the cap.
         # The search's last probe was this budget, but under the
         # default strategy, so the cap is allocated again here.
         outcome = allocate_module(
-            module, kernel_name, cap, block_size=block_size, strategy=strat
+            prepared, kernel_name, cap, block_size=block_size, strategy=strat
         )
     occ = strat.occupancy(
         arch,
@@ -130,7 +132,7 @@ def original_version(
 
 
 def conservative_level(
-    module: Module,
+    module: Module | PreparedModule,
     kernel_name: str,
     arch: GpuArchitecture,
     block_size: int,
@@ -145,8 +147,9 @@ def conservative_level(
     soft-limit strategy sees a proportionally larger register file.
     """
     strat = get_strategy(strategy)
-    ml = max(1, kernel_max_live(module, kernel_name))
-    user_smem = module.functions[kernel_name].shared_bytes
+    prepared = prepare(module, kernel_name)
+    ml = max(1, prepared.max_live())
+    user_smem = prepared.source.functions[kernel_name].shared_bytes
     warps_per_block = max(1, (block_size + arch.warp_size - 1) // arch.warp_size)
     best = occupancy_levels(arch, block_size)[0]
     register_capacity = int(
@@ -183,21 +186,30 @@ def compile_time_tuning(
     baseline.  Downward tuning re-pads the original binary, which never
     spills — strategies are equivalent there, so only the primary is
     used.
+
+    Every allocation of the compile starts from one
+    :class:`~repro.regalloc.allocator.PreparedModule`, built under the
+    ``prepare`` span.
     """
     strategy_set = tuple(strategies) if strategies else (DEFAULT_STRATEGY_ID,)
     for sid in strategy_set:
         get_strategy(sid)  # validate early
     primary = strategy_set[0]
     threshold = arch.registers_per_thread_at_full_occupancy
-    direction = tuning_direction(module, kernel_name, threshold)
+    with span("prepare", kernel=kernel_name):
+        # The SSA form and the source liveness behind max-live; each
+        # function's first interference graph is built by the first
+        # allocation that colours it.
+        prepared = PreparedModule(module, kernel_name)
+        direction = tuning_direction(prepared, kernel_name, threshold)
     plan = TuningPlan(
         kernel_name=kernel_name,
         direction=direction,
         can_tune=can_tune,
-        max_live=kernel_max_live(module, kernel_name),
+        max_live=prepared.max_live(),
     )
     original = original_version(
-        module, kernel_name, arch, block_size, cache_config, strategy=primary
+        prepared, kernel_name, arch, block_size, cache_config, strategy=primary
     )
     plan.versions.append(original)
     levels = occupancy_levels(arch, block_size)
@@ -206,7 +218,7 @@ def compile_time_tuning(
         realized_per_strategy: list[list[KernelVersion]] = []
         for sid in strategy_set:
             floor = conservative_level(
-                module, kernel_name, arch, block_size, cache_config,
+                prepared, kernel_name, arch, block_size, cache_config,
                 strategy=sid,
             )
             targets = [
@@ -217,7 +229,7 @@ def compile_time_tuning(
             targets = _thin(targets, max_versions - 1)
             realized_per_strategy.append(
                 _realize_targets(
-                    module,
+                    prepared,
                     kernel_name,
                     arch,
                     block_size,
@@ -276,7 +288,7 @@ def compile_time_tuning(
             try:
                 plan.failsafe.append(
                     realize_occupancy(
-                        module,
+                        prepared,
                         kernel_name,
                         arch,
                         block_size,
@@ -300,7 +312,7 @@ def compile_time_tuning(
 
 
 def _realize_targets(
-    module: Module,
+    prepared: PreparedModule,
     kernel_name: str,
     arch: GpuArchitecture,
     block_size: int,
@@ -320,7 +332,7 @@ def _realize_targets(
         with span("realize", kernel=kernel_name, warps=warps):
             try:
                 version = realize_occupancy(
-                    module,
+                    prepared,
                     kernel_name,
                     arch,
                     block_size,

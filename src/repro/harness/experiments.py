@@ -42,7 +42,7 @@ from repro.compiler.realize import KernelVersion, RealizeError, realize_occupanc
 from repro.harness.reporting import format_series, format_table
 from repro.ir.callgraph import count_static_calls
 from repro.perf.measure_cache import MeasurementCache
-from repro.regalloc.allocator import minimal_budget
+from repro.regalloc.allocator import PreparedModule, minimal_budget
 from repro.regalloc.strategy import default_strategy_id, get_strategy
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.session import ExecutionReport, TuningSession, Workload
@@ -235,12 +235,13 @@ def occupancy_sweep(
     spec = BENCHMARKS[benchmark]
     module = spec.build()
     kernel = module.kernel().name
+    prepared = PreparedModule(module, kernel)
     suffix = "" if sid == "local-spill" else f" [{sid}]"
     points = []
     for warps in occupancy_levels(arch, spec.workload.block_size):
         try:
             version = realize_occupancy(
-                module,
+                prepared,
                 kernel,
                 arch,
                 spec.workload.block_size,
@@ -326,6 +327,7 @@ def figure5(arch: GpuArchitecture = TESLA_C2075) -> list[Fig5Row]:
     for spec in figure5_benchmarks():
         module = spec.build()
         kernel = module.kernel().name
+        prepared = PreparedModule(module, kernel)
         candidates = compiled(spec, arch).versions
         target = max(v.achieved_warps for v in candidates)
         variants = {}
@@ -336,7 +338,7 @@ def figure5(arch: GpuArchitecture = TESLA_C2075) -> list[Fig5Row]:
             ("no_movement", True, False),
         ):
             version = realize_occupancy(
-                module,
+                prepared,
                 kernel,
                 arch,
                 spec.workload.block_size,

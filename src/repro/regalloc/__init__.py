@@ -4,6 +4,7 @@ promotion, and the compressible stack (paper Section 3.2)."""
 from repro.regalloc.allocator import (
     AllocationOutcome,
     BudgetError,
+    PreparedModule,
     allocate_module,
     minimal_budget,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "DEFAULT_STRATEGY_ID",
     "InterprocResult",
     "LOCAL_SPILL",
+    "PreparedModule",
     "SMEM_SPILL",
     "SOFT_LIMIT",
     "STRATEGIES",

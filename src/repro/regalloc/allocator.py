@@ -16,6 +16,11 @@ produce a binary that fits it:
 
 If the resulting tree exceeds the budget, the offending functions are
 re-allocated with tighter per-function budgets until the total fits.
+
+Orion allocates the same source once per candidate occupancy, and the
+SSA form, each function's first interference graph and the source's
+max-live do not depend on the budget: a :class:`PreparedModule` holds
+them for every allocation of one compile.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import dataclass, field
 
 from repro.ir.callgraph import CallGraph
 from repro.ir.function import Module
-from repro.ir.interference import build_interference
+from repro.ir.interference import InterferenceGraph, build_interference
+from repro.ir.liveness import LivenessInfo
 from repro.ir.ssa import construct_ssa, destruct_ssa, lift_to_virtual
 from repro.isa.registers import PhysReg, Reg, VirtualReg
 from repro.regalloc.chaitin import color_graph
@@ -69,8 +75,90 @@ class AllocationOutcome:
     smem_spill_slots: int = 0
 
 
+class PreparedModule:
+    """The budget-independent part of allocating one kernel tree.
+
+    Built once per compile and shared by every allocation of it:
+
+    * :attr:`module`: a copy of the source holding only the functions
+      the kernel reaches (:attr:`reachable`, sorted), lifted to virtual
+      registers where they held physical ones, and taken through pruned
+      SSA construction and destruction.  Each allocation colours a copy
+      of it.
+    * :meth:`graph`: a function's interference graph in that form, which
+      each allocation's first colouring round of the function starts
+      from.
+    * :meth:`max_live`: the tree's max-live, from one liveness analysis
+      per *source* function.
+
+    Graphs and liveness are built on first use.  Nothing is changed once
+    built: allocations copy the module, and coalescing and colouring
+    only read a graph.  The source must not change while the prepared
+    form is in use.
+    """
+
+    def __init__(self, source: Module, kernel_name: str) -> None:
+        self.source = source
+        self.kernel_name = kernel_name
+        # Iterate function names in sorted order: the set's iteration
+        # order depends on the string hash seed, and allocation details
+        # (shared promotion offsets, shrink order) follow iteration order.
+        reached = CallGraph(source).reachable(kernel_name)
+        self.reachable = sorted(reached)
+        # Dead-function elimination: functions the kernel can never
+        # reach are not allocated, and carrying them with virtual
+        # registers would fail the output verifier — the fat binary
+        # ships reachable code only.
+        self.module = work = Module(source.name)
+        for name, fn in source.functions.items():
+            if name not in reached:
+                continue
+            fn = work.add(fn.copy())
+            # Re-allocating a decoded binary (the real Orion flow): lift
+            # its physical registers to variables first; SSA renaming
+            # then splits each register into its constituent webs.
+            if any(isinstance(r, PhysReg) for r in fn.all_regs()):
+                lift_to_virtual(fn)
+            # Real binaries legitimately contain values defined only on
+            # some paths (e.g. inside a loop known to run at least once);
+            # reading such a value is undefined behaviour that the
+            # zero-init fixup models consistently with the interpreter's
+            # semantics.
+            construct_ssa(fn, allow_undef=True)
+            destruct_ssa(fn)
+        self._graphs: dict[str, InterferenceGraph] = {}
+        self._liveness: dict[str, LivenessInfo] = {}
+
+    def graph(self, name: str) -> InterferenceGraph:
+        """Function ``name``'s interference graph in the prepared form."""
+        graph = self._graphs.get(name)
+        if graph is None:
+            graph = build_interference(self.module.functions[name])
+            self._graphs[name] = graph
+        return graph
+
+    def max_live(self, share_copies: bool = False) -> int:
+        """:func:`kernel_max_live` of the source tree."""
+        return kernel_max_live(
+            self.source, self.kernel_name, share_copies, self._liveness
+        )
+
+
+def prepare(
+    module: Module | PreparedModule, kernel_name: str
+) -> PreparedModule:
+    """``module``'s prepared form for ``kernel_name`` (itself if prepared)."""
+    if not isinstance(module, PreparedModule):
+        return PreparedModule(module, kernel_name)
+    if module.kernel_name != kernel_name:
+        raise ValueError(
+            f"module prepared for {module.kernel_name!r}, not {kernel_name!r}"
+        )
+    return module
+
+
 def allocate_module(
-    module: Module,
+    module: Module | PreparedModule,
     kernel_name: str,
     reg_budget: int,
     block_size: int = 256,
@@ -83,9 +171,11 @@ def allocate_module(
     """Allocate ``module`` so the kernel tree fits ``reg_budget`` slots.
 
     Returns a *new* module (the input is untouched) rewritten to
-    physical registers.  ``smem_spill_budget_per_thread`` enables
-    shared-memory promotion of spilled values (bytes each thread may
-    claim from the block's shared allowance).
+    physical registers.  ``module`` may be the kernel's
+    :class:`PreparedModule`, shared by the allocations of one compile;
+    a plain module is prepared here.  ``smem_spill_budget_per_thread``
+    enables shared-memory promotion of spilled values (bytes each thread
+    may claim from the block's shared allowance).
 
     ``strategy`` selects the spill target (see
     :mod:`repro.regalloc.strategy`); ``None`` means the reference
@@ -102,32 +192,11 @@ def allocate_module(
         smem_spill_budget_per_thread = 1 << 30
     if reg_budget <= 0:
         raise BudgetError("register budget must be positive")
-    work = module.copy()
-    callgraph = CallGraph(work)
-    # Iterate function names in sorted order: the set's iteration order
-    # depends on the string hash seed, and allocation details (shared
-    # promotion offsets, shrink order) follow iteration order.
-    reachable = sorted(callgraph.reachable(kernel_name))
-    # Dead-function elimination: functions the kernel can never reach
-    # are not allocated, and carrying them with virtual registers would
-    # fail the output verifier — the fat binary ships reachable code
-    # only.
-    for name in [n for n in work.functions if n not in set(reachable)]:
-        del work.functions[name]
-
-    for name in reachable:
-        fn = work.functions[name]
-        # Re-allocating a decoded binary (the real Orion flow): lift its
-        # physical registers to variables first; SSA renaming then splits
-        # each register into its constituent webs.
-        if any(isinstance(r, PhysReg) for r in fn.all_regs()):
-            lift_to_virtual(fn)
-        # Real binaries legitimately contain values defined only on some
-        # paths (e.g. inside a loop known to run at least once); reading
-        # such a value is undefined behaviour that the zero-init fixup
-        # models consistently with the interpreter's semantics.
-        construct_ssa(fn, allow_undef=True)
-        destruct_ssa(fn)
+    prepared = prepare(module, kernel_name)
+    work = prepared.module.copy()
+    reachable = prepared.reachable
+    # Functions still in their prepared form, whose graph is shared.
+    fresh = set(reachable)
 
     budgets = {name: reg_budget for name in reachable}
     spill_states: dict[str, SpillState] = {name: SpillState() for name in reachable}
@@ -144,8 +213,13 @@ def allocate_module(
         for name in reachable:
             if name not in colorings:
                 colorings[name], newly_spilled = _allocate_function(
-                    work, name, budgets[name], spill_states[name]
+                    work,
+                    name,
+                    budgets[name],
+                    spill_states[name],
+                    prepared.graph(name) if name in fresh else None,
                 )
+                fresh.discard(name)
                 spilled_total += newly_spilled
                 if (
                     smem_spill_budget_per_thread > 0
@@ -350,12 +424,14 @@ def _allocate_function(
     name: str,
     budget: int,
     spill_state: SpillState,
+    graph: InterferenceGraph | None = None,
 ) -> tuple[dict[Reg, int], int]:
     """Colour one function under ``budget``, spilling until clean.
 
     Before the first colouring attempt, move-related variables (mostly
     φ-elimination copies) are conservatively coalesced — Briggs's test
-    guarantees this can never introduce a spill.
+    guarantees this can never introduce a spill.  ``graph``, when given,
+    is the function's interference graph as it stands; it is only read.
     """
     from repro.regalloc.coalesce import coalesce_moves
 
@@ -369,7 +445,8 @@ def _allocate_function(
     spilled_count = 0
     coalesced = False
     for _ in range(64):
-        graph = build_interference(fn)
+        if graph is None:
+            graph = build_interference(fn)
         if not coalesced:
             coalesced = True
             report = coalesce_moves(fn, graph, budget, precolored)
@@ -384,6 +461,7 @@ def _allocate_function(
                 "temporaries"
             )
         insert_spill_code(fn, result.spilled, spill_state)
+        graph = None
         reload_temps = {
             t for temps in spill_state.temps.values() for t in temps
         }
@@ -410,7 +488,7 @@ def _offset_local_frames(
 
 
 def minimal_budget(
-    module: Module, kernel_name: str, upper_bound: int = 255
+    module: Module | PreparedModule, kernel_name: str, upper_bound: int = 255
 ) -> tuple[int, AllocationOutcome]:
     """Smallest register budget allocating the kernel tree spill-free.
 
@@ -429,10 +507,11 @@ def minimal_budget(
     spill-free allocation is the same under all of them, except that
     its ``strategy`` field always reads ``local-spill``.
     """
-    floor = kernel_max_live(module, kernel_name, share_copies=True)
+    prepared = prepare(module, kernel_name)
+    floor = prepared.max_live(share_copies=True)
     for budget in range(max(1, floor), upper_bound + 1):
         try:
-            outcome = allocate_module(module, kernel_name, budget)
+            outcome = allocate_module(prepared, kernel_name, budget)
         except BudgetError:
             continue
         if outcome.spilled_variables == 0:

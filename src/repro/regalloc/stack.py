@@ -40,7 +40,11 @@ from dataclasses import dataclass, field
 
 from repro.ir.callgraph import CallGraph
 from repro.ir.function import Module
-from repro.ir.liveness import analyze_liveness, live_across_calls
+from repro.ir.liveness import (
+    LivenessInfo,
+    analyze_liveness,
+    live_across_calls,
+)
 from repro.isa.instructions import Imm, Instruction, Opcode, Operand, mov
 from repro.isa.registers import (
     PhysReg,
@@ -271,7 +275,10 @@ def packed_height(widths_and_alignments: list[tuple[int, int]]) -> int:
 
 
 def kernel_max_live(
-    module: Module, kernel_name: str, share_copies: bool = False
+    module: Module,
+    kernel_name: str,
+    share_copies: bool = False,
+    liveness: dict[str, LivenessInfo] | None = None,
 ) -> int:
     """Inter-procedural max-live of a kernel's whole call tree.
 
@@ -282,12 +289,16 @@ def kernel_max_live(
     pair unconnected and coalescing may merge it.  ``share_copies``
     counts them once (the ``copy_*`` liveness figures), which makes the
     result a floor: no spill-free allocation of the tree fits in fewer.
+    ``liveness`` keeps each function's analysis, by name, for the next
+    call on the same module.
     """
     callgraph = CallGraph(module)
+    liveness = {} if liveness is None else liveness
     memo: dict[str, int] = {}
     for name in callgraph.bottom_up_order(kernel_name):
-        fn = module.functions[name]
-        info = analyze_liveness(fn)
+        info = liveness.get(name)
+        if info is None:
+            info = liveness[name] = analyze_liveness(module.functions[name])
         best = info.copy_max_live if share_copies else info.max_live
         across = (
             info.copy_live_across_calls

@@ -168,6 +168,38 @@ class TestMinimumRegisters:
         assert color_graph(g, 3).spilled
 
 
+def test_graph_left_intact():
+    """Colouring only reads the graph: every allocation of a compile
+    starts a function's first round from one shared graph, so a
+    colouring that spills must leave it as built."""
+    from repro.bench.kernels import BENCHMARKS
+    from repro.ir.ssa import construct_ssa, destruct_ssa
+
+    fn = BENCHMARKS["FDTD3d"].build().kernel()
+    construct_ssa(fn, allow_undef=True)
+    destruct_ssa(fn)
+    graph = build_interference(fn)
+    assert graph.by_width.keys() == {1, 2}  # degree is not edges
+    before = (
+        list(graph.regs),
+        list(graph.fwd),
+        list(graph.rev),
+        list(graph.degree),
+        list(graph.edges),
+        dict(graph.by_width),
+    )
+    result = color_graph(graph, 16)
+    assert result.spilled
+    assert (
+        graph.regs,
+        graph.fwd,
+        graph.rev,
+        graph.degree,
+        graph.edges,
+        graph.by_width,
+    ) == before
+
+
 class TestDoubleCountedPair:
     """%v0 and %v1.w2 are each live at the other's definition, so the
     build records the pair from both definitions: %v1 sits in both
