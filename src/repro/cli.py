@@ -740,6 +740,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 backend=args.backend,
             )
     finally:
+        client.close()
         if hub is not None:
             stack.close()
             hub.close()
@@ -768,6 +769,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.compiler.multiversion import MultiVersionBinary
     from repro.runtime.session import Workload
     from repro.service.client import RingClient, ServiceRejected
+    from repro.service.cluster import parse_ring
     from repro.sim.interp import LaunchConfig
 
     binary = MultiVersionBinary.from_bytes(Path(args.input).read_bytes())
@@ -792,22 +794,22 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
     def _worker(count: int) -> None:
         # One RingClient per worker: nothing shared, nothing to contend.
-        ring = RingClient(
+        with RingClient(
             args.ring, timeout=args.timeout, retries=args.retries
-        )
-        for _ in range(count):
-            started = _time.perf_counter()
-            try:
-                response = ring.tune(binary, workload)
-            except (ServiceRejected, OSError) as exc:
+        ) as ring:
+            for _ in range(count):
+                started = _time.perf_counter()
+                try:
+                    response = ring.tune(binary, workload)
+                except (ServiceRejected, OSError) as exc:
+                    with lock:
+                        errors.append(str(exc))
+                    continue
+                elapsed = _time.perf_counter() - started
                 with lock:
-                    errors.append(str(exc))
-                continue
-            elapsed = _time.perf_counter() - started
-            with lock:
-                latencies.append(elapsed)
-                source = response.get("source", "unknown")
-                sources[source] = sources.get(source, 0) + 1
+                    latencies.append(elapsed)
+                    source = response.get("source", "unknown")
+                    sources[source] = sources.get(source, 0) + 1
 
     threads = [
         threading.Thread(target=_worker, args=(share,), daemon=True)
@@ -829,7 +831,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     summary = {
         "requests": total,
         "clients": len(threads),
-        "ring": RingClient(args.ring).nodes,
+        "ring": parse_ring(args.ring),
         "ok": len(latencies),
         "dropped": len(errors),
         "wall_seconds": wall,

@@ -35,15 +35,25 @@ Every retry sleep is floored at :data:`MIN_BACKOFF`: a zero ``backoff``
 or a zero ``retry_after`` hint from the daemon must never turn the
 retry loop into a hot spin against a struggling service.
 
-The client never holds a connection across requests: each request is
-one connect/send/receive/close round trip, which keeps it trivially
-safe to use from multiple threads and immune to daemon restarts.
+**Kept-alive connections.**  A client keeps the sockets of its finished
+round trips open and idle, and the next request takes one instead of
+connecting again; threads that send at once take one socket each, so a
+client holds at most as many as it ever had requests in flight.  A
+socket goes back to the idle list only after a whole response, and any
+error or timeout closes it.  When the daemon closed an idle socket (it
+restarted, or drained for shutdown), the request finds the connection
+ended before the first response byte, or reset, and ``_round_trip``
+sends it again once on a fresh connection: no retry, no backoff, no
+``client_retry`` record.  A timeout never sends a request again inside
+``_round_trip``.  :meth:`TuningClient.close` (or a ``with`` block)
+closes the idle sockets.
 """
 
 from __future__ import annotations
 
 import base64
 import socket
+import threading
 import time
 from pathlib import Path
 
@@ -89,7 +99,8 @@ def read_port_file(path: str | Path) -> int:
 
 
 class TuningClient:
-    """One daemon endpoint, sync, connection-per-request."""
+    """One daemon endpoint, sync, over kept-alive connections (see the
+    module docstring); close it, or use it in a ``with`` block."""
 
     def __init__(
         self,
@@ -112,6 +123,22 @@ class TuningClient:
         #: None = trace when a trace context or telemetry hub is
         #: ambient; True = always mint; False = never stamp the wire
         self.trace = trace
+        #: open sockets between round trips, taken one per round trip
+        self._idle: list[socket.socket] = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections (a later request opens a new one)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for sock in idle:
+            sock.close()
+
+    def __enter__(self) -> "TuningClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @property
     def port(self) -> int:
@@ -252,11 +279,32 @@ class TuningClient:
         return max(self.backoff * attempt, MIN_BACKOFF)
 
     def _round_trip(self, payload: dict) -> dict:
-        with socket.create_connection(
+        """One exchange, on an idle socket when there is one.  If the
+        daemon closed that socket meanwhile, send again once on a fresh
+        connection."""
+        with self._lock:
+            sock = self._idle.pop() if self._idle else None
+        if sock is not None:
+            try:
+                return self._exchange(sock, payload)
+            except (OSError, ProtocolError) as exc:
+                if not protocol.peer_closed(exc):
+                    raise
+        sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
-        ) as sock:
+        )
+        return self._exchange(sock, payload)
+
+    def _exchange(self, sock: socket.socket, payload: dict) -> dict:
+        try:
             protocol.send_frame(sock, payload)
-            return protocol.recv_frame(sock)
+            response = protocol.recv_frame(sock)
+        except BaseException:
+            sock.close()
+            raise
+        with self._lock:
+            self._idle.append(sock)
+        return response
 
     # ------------------------------------------------------------------
     # Typed requests
@@ -334,6 +382,17 @@ class RingClient:
         self.retries = retries
         self.backoff = backoff
         self._clients: dict[str, TuningClient] = {}
+
+    def close(self) -> None:
+        """Close every node client's idle connections."""
+        for client in self._clients.values():
+            client.close()
+
+    def __enter__(self) -> "RingClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def client_for(self, node: str) -> TuningClient:
         client = self._clients.get(node)

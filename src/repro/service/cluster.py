@@ -17,7 +17,8 @@ replacing it:
   publishes a winner ships the store's op-log record (with the header
   generation id) to each replica over the v2 ``replicate`` verb.
   Shipping is fire-and-forget from the client's point of view — the
-  tune response never waits on replication — but per-peer backlogs are
+  tune response never waits on replication — and goes over the
+  daemon's kept-alive peer connections; per-peer backlogs are
   durable within the process: a peer that is down accumulates ops and
   receives them, preceded by a full snapshot catch-up, when it comes
   back (*catch-up on reconnect*).
@@ -198,6 +199,7 @@ class Replicator:
         generation,  # () -> the store's current generation id
         peer_timeout: float = 5.0,
         log=None,  # a repro.obs.log.StructuredLogger (default: process)
+        pool: protocol.PeerPool | None = None,
     ) -> None:
         self.node_id = node_id
         self.peers = list(peers)
@@ -205,6 +207,10 @@ class Replicator:
         self._generation = generation
         self.peer_timeout = peer_timeout
         self._log = log
+        #: the daemon's connections to its peers; a replicator given none
+        #: keeps its own and closes it when it stops
+        self._pool = pool or protocol.PeerPool()
+        self._owns_pool = pool is None
         #: per-peer queues of (op, trace_id) — the trace of the request
         #: that published the op rides along to the replicate frame
         self._backlogs: dict[str, deque] = {peer: deque() for peer in peers}
@@ -251,6 +257,8 @@ class Replicator:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
         self._tasks.clear()
+        if self._owns_pool:
+            await self._pool.close()
 
     # ------------------------------------------------------------------
     def publish(self, op: dict, peers: list[str] | None = None) -> None:
@@ -345,7 +353,7 @@ class Replicator:
         if trace_id is not None:
             wire = protocol.stamp_trace(wire, trace_id)
         host, port = node_address(peer)
-        response = await protocol.async_round_trip(
+        response = await self._pool.round_trip(
             host,
             port,
             wire,

@@ -78,6 +78,13 @@ Three always-on diagnostics ride on the same dispatch seam:
 * *replicates* every winner it publishes to the key's replica set, and
   answers peers' ``replicate``/``sync`` frames by applying their
   op-log records to its own store.
+
+Every hop keeps its connection open.  A connection handler serves
+frames until its client closes the connection, and forwards,
+replicate batches and startup syncs go over the daemon's
+:class:`~repro.service.protocol.PeerPool` of idle connections to its
+peers.  ``orion_daemon_connections_total`` counts the connections the
+daemon accepts.
 """
 
 from __future__ import annotations
@@ -227,6 +234,10 @@ class TuningDaemon:
         self._pending = 0
         #: open connection-handler tasks (drained on shutdown)
         self._conn_tasks: set[asyncio.Task] = set()
+        #: the handlers between reading a request and writing its answer
+        self._busy: set[asyncio.Task] = set()
+        #: idle connections to ring peers (forward, replicate, sync)
+        self._peers = protocol.PeerPool()
         # -- cluster state (all None/absent in single-daemon mode) -----
         self.cluster = self.config.cluster
         self._ring = self.cluster.hash_ring() if self.cluster else None
@@ -274,6 +285,7 @@ class TuningDaemon:
                 generation=lambda: self.store.generation,
                 peer_timeout=self.cluster.peer_timeout,
                 log=self.log,
+                pool=self._peers,
             )
             self._replicator.start()
             # Pull-side catch-up: a (re)starting node asks each peer for
@@ -295,11 +307,12 @@ class TuningDaemon:
         """Serve until :meth:`stop` (or a shutdown request).
 
         Shutdown *drains*: in-flight tune jobs get up to the request
-        timeout to finish and publish, and their connection handlers
-        get a short grace period to flush responses, before any
+        timeout to finish and publish, and the handlers that are mid
+        request get a short grace period to flush responses, before any
         executor is torn down — a winner computed mid-shutdown is never
         dropped unpublished.  The server then stops accepting, and the
-        handlers still open are cancelled and awaited.
+        handlers still open, idle kept-alive ones at once, are cancelled
+        and awaited.  The peer pool's idle connections close last.
         """
         if self._server is None:
             await self.start()
@@ -319,6 +332,7 @@ class TuningDaemon:
         # A connection accepted just before the server closed can start
         # its handler during the awaits above, after the drain's sweep.
         await self._close_handlers()
+        await self._peers.close()
         self._pool.shutdown(wait=True)
         self._store_pool.shutdown(wait=True)
         self.engine.telemetry.flush()
@@ -327,20 +341,27 @@ class TuningDaemon:
             self.log.close()
 
     async def _drain(self) -> None:
-        """Wait (bounded) for in-flight tunes and their responses, then
-        close the connections still open."""
+        """Wait (bounded) for in-flight tunes and the responses of the
+        handlers mid request, then close the connections still open."""
         pending = [
             future for future in self._inflight.values() if not future.done()
         ]
         if pending:
             await asyncio.wait(pending, timeout=self.config.request_timeout)
-        handlers = [task for task in self._conn_tasks if not task.done()]
-        if handlers:
+        busy = [task for task in self._busy if not task.done()]
+        if busy:
             # Enough for a completed job's response to hit the socket.
-            await asyncio.wait(handlers, timeout=2.0)
+            await asyncio.wait(busy, timeout=2.0)
         # Accept nothing more, and cancel the handlers still open (idle
-        # keep-alive clients, requests that came in while draining), so
-        # each closes its writer while the loop still runs.
+        # kept-alive connections, requests that came in while draining),
+        # so each closes its writer while the loop still runs.  asyncio
+        # builds an accepted connection's transport one loop iteration
+        # after the accept and cannot once the server has closed (the
+        # socket then leaks), so stop accepting an iteration earlier.
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
         self._server.close()
         await self._close_handlers()
 
@@ -369,8 +390,11 @@ class TuningDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._conn_tasks.add(task)
+        _registry().counter(
+            "orion_daemon_connections_total",
+            "Connections the daemon accepted.",
+        ).inc()
         try:
             while True:
                 try:
@@ -388,15 +412,17 @@ class TuningDaemon:
                     break  # framing is lost; the connection is unusable
                 if payload is None:
                     break  # clean EOF
+                self._busy.add(task)
                 response = await self._dispatch(payload)
                 await self._respond(writer, response)
+                self._busy.discard(task)
                 if self._stop.is_set():
                     break
         except (ConnectionError, asyncio.CancelledError):
             pass  # client went away; nothing to answer
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._conn_tasks.discard(task)
+            self._busy.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -782,7 +808,7 @@ class TuningDaemon:
                 active.span_id if active is not None else ctx.parent_span_id,
             )
         try:
-            response = await protocol.async_round_trip(
+            response = await self._peers.round_trip(
                 host,
                 port,
                 wire,
@@ -971,7 +997,7 @@ class TuningDaemon:
             host, port = node_address(peer)
             for attempt in range(_SYNC_ATTEMPTS):
                 try:
-                    response = await protocol.async_round_trip(
+                    response = await self._peers.round_trip(
                         host,
                         port,
                         protocol.request(

@@ -53,6 +53,16 @@ before retrying::
     {"ok": true, ...}
     {"ok": false, "code": "queue-full", "error": "...", "retry_after": 0.05}
 
+A connection carries any number of exchanges, one at a time: a request
+frame, then its response frame.  Both ends keep connections open
+between exchanges (:class:`PeerPool` on the daemon side, the client's
+idle sockets on the blocking side).  A kept-alive connection can die
+while it sits idle, when its peer restarts or drains, so a round trip
+that finds its reused connection closed by the peer
+(:func:`peer_closed`) sends the request again once, on a fresh
+connection.  A timeout is never a reason to send it again: the peer
+may still be working on the request.
+
 Both async (daemon-side) and blocking (client-side) frame helpers live
 here so the two ends can never drift apart.
 """
@@ -110,6 +120,22 @@ class ProtocolError(Exception):
     """A malformed, oversized, or truncated frame."""
 
 
+class PeerClosed(ProtocolError):
+    """The peer closed the connection before the first byte of a frame."""
+
+
+def peer_closed(exc: BaseException) -> bool:
+    """Did the peer close the connection before answering?
+
+    True for an end of stream before the response's first byte, a reset
+    and a broken pipe.  On a reused connection these mean the peer
+    closed it while it sat idle, and never read the request.  A timeout
+    is not one of them, though on Python 3.11 ``socket.timeout`` and
+    ``asyncio.TimeoutError`` are ``OSError`` subclasses too.
+    """
+    return isinstance(exc, (PeerClosed, ConnectionResetError, BrokenPipeError))
+
+
 def encode_frame(payload: dict) -> bytes:
     """Serialize one request/response object into a wire frame."""
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -159,30 +185,80 @@ async def write_frame(writer: asyncio.StreamWriter, payload: dict) -> None:
     await writer.drain()
 
 
-async def async_round_trip(
-    host: str, port: int, payload: dict, timeout: float = 10.0
-) -> dict:
-    """One request/response exchange with a peer daemon (async side).
+class PeerPool:
+    """Kept-alive connections to peer daemons, one list of idle ones per
+    peer address.
 
-    ``timeout`` bounds the connect and the response read separately —
-    a forwarded cold tune legitimately takes seconds, so callers pass
-    their request deadline rather than a connect-scale value.
+    One per daemon, used from its event loop only.  A round trip takes an
+    idle connection to the peer, or opens one, and gives it back only
+    after a whole response; an error, a timeout or a cancellation closes
+    it instead.  So a peer never holds more idle connections than the
+    most round trips to it this daemon had in flight at once, and the
+    pool needs no size bound and no idle timeout.
     """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple[str, int], list] = {}
+
+    async def round_trip(
+        self, host: str, port: int, payload: dict, timeout: float = 10.0
+    ) -> dict:
+        """One request/response exchange with a peer daemon.
+
+        ``timeout`` bounds the connect, and separately the write and the
+        response read together.  A forwarded cold tune legitimately takes
+        seconds, so callers pass their request deadline rather than a
+        connect-scale value.  A reused connection that the peer closed
+        meanwhile is replaced by a fresh one, once.
+        """
+        idle = self._idle.setdefault((host, port), [])
+        if idle:
+            try:
+                return await _exchange(idle, idle.pop(), payload, timeout)
+            except (OSError, ProtocolError) as exc:
+                if not peer_closed(exc):
+                    raise
+        connection = await asyncio.wait_for(
+            asyncio.open_connection(host, port), timeout
+        )
+        return await _exchange(idle, connection, payload, timeout)
+
+    async def close(self) -> None:
+        """Close every idle connection."""
+        writers = [writer for idle in self._idle.values() for _, writer in idle]
+        self._idle.clear()
+        for writer in writers:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass  # the peer reset it first
+
+
+async def _exchange(
+    idle: list, connection: tuple, payload: dict, timeout: float
+) -> dict:
+    """Write ``payload``, read the response, then park the connection."""
+    reader, writer = connection
     try:
-        await write_frame(writer, payload)
-        response = await asyncio.wait_for(read_frame(reader), timeout)
-        if response is None:
-            raise ProtocolError("peer closed before responding")
-        return response
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+        response = await asyncio.wait_for(
+            _request(reader, writer, payload), timeout
+        )
+    except BaseException:
+        writer.transport.abort()
+        raise
+    idle.append(connection)
+    return response
+
+
+async def _request(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, payload: dict
+) -> dict:
+    await write_frame(writer, payload)
+    response = await read_frame(reader)
+    if response is None:
+        raise PeerClosed("peer closed before responding")
+    return response
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +269,12 @@ def send_frame(sock: socket.socket, payload: dict) -> None:
 
 
 def recv_frame(sock: socket.socket) -> dict:
-    raw = _recv_exactly(sock, _LENGTH.size)
+    """Read one frame; :class:`PeerClosed` if the peer closed the
+    connection before its first byte."""
+    first = sock.recv(_LENGTH.size)
+    if not first:
+        raise PeerClosed("peer closed before a frame")
+    raw = first + _recv_exactly(sock, _LENGTH.size - len(first))
     length = _check_length(raw)
     return decode_body(_recv_exactly(sock, length))
 

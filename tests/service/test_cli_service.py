@@ -129,7 +129,8 @@ class TestServeSubmit:
             assert payload["source"] == "store"
             assert payload["record"]["winner_label"]
         finally:
-            TuningClient(port_file=port_file).shutdown()
+            with TuningClient(port_file=port_file) as client:
+                client.shutdown()
             serve.join(timeout=15)
         assert not serve.is_alive()
         assert len(TuningStore(store_path)) == 1
@@ -174,7 +175,8 @@ class TestServeSubmit:
                 ]
             ) == 0
         finally:
-            TuningClient(port_file=port_file).shutdown()
+            with TuningClient(port_file=port_file) as client:
+                client.shutdown()
             serve.join(timeout=15)
         capsys.readouterr()
 
@@ -313,7 +315,8 @@ class TestRingCli:
                 if port in ready:
                     continue
                 try:
-                    TuningClient(port=port, retries=0).ping()
+                    with TuningClient(port=port, retries=0) as client:
+                        client.ping()
                     ready.add(port)
                 except OSError:
                     pass
@@ -364,7 +367,8 @@ class TestRingCli:
         finally:
             for port in ports:
                 try:
-                    TuningClient(port=port, retries=0).shutdown()
+                    with TuningClient(port=port, retries=0) as client:
+                        client.shutdown()
                 except OSError:
                     pass
             for thread in threads:

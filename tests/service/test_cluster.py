@@ -64,6 +64,32 @@ def _backend_invocations() -> float:
     return counter.value(backend="timing")
 
 
+def _connections() -> float:
+    return get_registry().counter(
+        "orion_daemon_connections_total", "Connections the daemon accepted."
+    ).value()
+
+
+def _forwards(peer: str, outcome: str) -> float:
+    return get_registry().counter(
+        "orion_cluster_forwards_total",
+        "Requests forwarded to ring owners, by peer and outcome.",
+    ).value(peer=peer, outcome=outcome)
+
+
+def _shapes(count: int) -> list[Workload]:
+    """``count`` workloads that differ only in grid size: one tuning
+    key each, all owned by the binary's ring owner."""
+    return [
+        Workload(
+            launch=LaunchConfig(grid_blocks=64 + index, block_size=256),
+            iterations=10,
+            max_events_per_warp=1500,
+        )
+        for index in range(count)
+    ]
+
+
 # ----------------------------------------------------------------------
 # Ring math
 # ----------------------------------------------------------------------
@@ -138,10 +164,10 @@ class TestClusterConfig:
 
 class TestRingClientRouting:
     def test_route_order_is_owner_then_successors(self):
-        ring = RingClient("a:1,b:2,c:3")
-        order = ring.route_order("some-kernel-fp")
-        assert order[0] == ring.ring.owner("some-kernel-fp")
-        assert sorted(order) == ["a:1", "b:2", "c:3"]
+        with RingClient("a:1,b:2,c:3") as ring:
+            order = ring.route_order("some-kernel-fp")
+            assert order[0] == ring.ring.owner("some-kernel-fp")
+            assert sorted(order) == ["a:1", "b:2", "c:3"]
 
 
 # ----------------------------------------------------------------------
@@ -149,22 +175,22 @@ class TestRingClientRouting:
 # ----------------------------------------------------------------------
 class TestRetryBackoffFloor:
     def test_zero_backoff_is_floored(self):
-        client = TuningClient(port=1, backoff=0.0)
-        assert client._delay(None, 1) >= MIN_BACKOFF
-        assert client._delay(None, 2) >= MIN_BACKOFF
+        with TuningClient(port=1, backoff=0.0) as client:
+            assert client._delay(None, 1) >= MIN_BACKOFF
+            assert client._delay(None, 2) >= MIN_BACKOFF
 
     def test_zero_retry_after_hint_is_floored(self):
-        client = TuningClient(port=1)
         rejected = ServiceRejected("queue-full", "busy")
         rejected.retry_after = 0.0
-        assert client._delay(rejected, 1) >= MIN_BACKOFF
+        with TuningClient(port=1) as client:
+            assert client._delay(rejected, 1) >= MIN_BACKOFF
 
     def test_honest_hints_and_backoffs_pass_through(self):
-        client = TuningClient(port=1, backoff=0.05)
         rejected = ServiceRejected("queue-full", "busy")
         rejected.retry_after = 0.5
-        assert client._delay(rejected, 1) == 0.5
-        assert client._delay(None, 2) == pytest.approx(0.1)
+        with TuningClient(port=1, backoff=0.05) as client:
+            assert client._delay(rejected, 1) == 0.5
+            assert client._delay(None, 2) == pytest.approx(0.1)
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +217,7 @@ class RingCluster:
             f"127.0.0.1:{port}" for port in _free_ports(size)
         )
         self.harnesses: dict[str, DaemonHarness] = {}
+        self._ring_clients: list[RingClient] = []
         if start_all:
             for node in self.ring:
                 self.start(node)
@@ -215,6 +242,8 @@ class RingCluster:
             harness.__exit__(None, None, None)
 
     def stop_all(self) -> None:
+        for client in self._ring_clients:
+            client.close()
         for node in list(self.harnesses):
             self.stop(node)
 
@@ -222,7 +251,9 @@ class RingCluster:
         return self.harnesses[node].client(**kwargs)
 
     def ring_client(self, **kwargs) -> RingClient:
-        return RingClient(self.ring, **kwargs)
+        client = RingClient(self.ring, **kwargs)
+        self._ring_clients.append(client)
+        return client
 
     def owner_of(self, fp: str) -> str:
         return HashRing(self.ring).owner(fp)
@@ -407,6 +438,65 @@ class TestClusterIntegration:
         ).result(timeout=10)
         assert health["ok"] is True
         assert health["cluster"]["node_id"] == node
+
+
+class TestKeptAlivePeerConnections:
+    """Clients, forwards, replication and syncs keep their connections."""
+
+    def test_each_pair_adds_at_most_one_connection(self, cluster, binary):
+        owner = cluster.owner_of(kernel_fingerprint(binary))
+        entry = next(node for node in cluster.ring if node != owner)
+        shapes = _shapes(10)
+        client = cluster.client(entry, timeout=60.0)
+        # A node that started before its peers retries its startup sync.
+        deadline = time.monotonic() + 10
+        for harness in cluster.harnesses.values():
+            while not harness.daemon._sync_task.done():
+                assert time.monotonic() < deadline, "startup sync never ended"
+                time.sleep(0.01)
+        before, forwarded = _connections(), _forwards(owner, "ok")
+        for workload in shapes:
+            assert client.tune(binary, workload)["source"] == "tuned"
+        for workload in shapes:
+            assert client.tune(binary, workload)["source"] == "store"
+        assert _forwards(owner, "ok") >= forwarded + 10
+        # The pairs that talk: the client and the entry node, the entry
+        # forwarding to the owner, the owner replicating to both others.
+        assert 1 <= _connections() - before <= 4
+
+    def test_forward_reconnects_to_a_restarted_owner(self, cluster, binary):
+        """The entry's pooled connection to the owner died with it; the
+        next forward goes over a fresh connection, not to peer-down."""
+        owner = cluster.owner_of(kernel_fingerprint(binary))
+        entry = next(node for node in cluster.ring if node != owner)
+        first, second = _shapes(2)
+        client = cluster.client(entry, timeout=60.0)
+        assert client.tune(binary, first)["node"] == owner
+        cluster.stop(owner)
+        cluster.start(owner)
+        ok, down = _forwards(owner, "ok"), _forwards(owner, "peer-down")
+        response = client.tune(binary, second)
+        assert response["source"] == "tuned"
+        assert response["node"] == owner
+        assert _forwards(owner, "ok") == ok + 1
+        assert _forwards(owner, "peer-down") == down
+
+    def test_daemon_with_idle_connections_stops_within_a_second(
+        self, cluster, binary, workload
+    ):
+        owner = cluster.owner_of(kernel_fingerprint(binary))
+        entry = next(node for node in cluster.ring if node != owner)
+        key = cluster.client(entry, timeout=60.0).tune(binary, workload)["key"]
+        cluster.wait_replicated(key, cluster.ring)
+        assert cluster.client(owner).ping()["ok"] is True
+        harness = cluster.harnesses[owner]
+        # Idle: the test's clients, the entry's forward and the peers'
+        # syncs; the owner's own pool holds its replicate connections.
+        assert len(harness.daemon._conn_tasks) >= 3
+        started = time.monotonic()
+        assert cluster.client(owner).shutdown()["stopping"] is True
+        harness._thread.join(timeout=10)
+        assert time.monotonic() - started < 1.0
 
 
 class _Replica:

@@ -30,6 +30,7 @@ from repro.service.client import (
     TuningClient,
     tune_with_fallback,
 )
+from repro.service import client as client_module
 from repro.service import daemon as daemon_module
 from repro.service.daemon import DaemonConfig, TuningDaemon, workload_from_payload
 from repro.service.store import TuningStore
@@ -72,8 +73,9 @@ class SlowBackend:
 class DaemonHarness:
     """A daemon on a background event-loop thread, stopped on exit.
 
-    Exiting also closes the engine's telemetry hub, so a trace file the
-    daemon wrote is complete and closed.
+    Exiting first closes every client :meth:`client` made, and last the
+    engine's telemetry hub, so a trace file the daemon wrote is complete
+    and closed.
     """
 
     def __init__(self, store, config=None, backend="timing", trace_file=None):
@@ -83,6 +85,7 @@ class DaemonHarness:
         self.daemon = TuningDaemon(self.engine, store, config)
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._clients: list[TuningClient] = []
 
     def __enter__(self) -> "DaemonHarness":
         started = threading.Event()
@@ -105,6 +108,8 @@ class DaemonHarness:
         return self
 
     def __exit__(self, *exc) -> None:
+        for client in self._clients:
+            client.close()
         if self._loop is not None and not self._loop.is_closed():
             self._loop.call_soon_threadsafe(self.daemon.stop)
         self._thread.join(timeout=10)
@@ -115,7 +120,9 @@ class DaemonHarness:
         return self.daemon.port
 
     def client(self, **kwargs) -> TuningClient:
-        return TuningClient(port=self.port, **kwargs)
+        client = TuningClient(port=self.port, **kwargs)
+        self._clients.append(client)
+        return client
 
 
 def _backend_invocations() -> float:
@@ -124,6 +131,12 @@ def _backend_invocations() -> float:
         "Backend measurements actually executed (cache misses).",
     )
     return counter.value(backend="timing")
+
+
+def _connections() -> float:
+    return get_registry().counter(
+        "orion_daemon_connections_total", "Connections the daemon accepted."
+    ).value()
 
 
 class TestWarmStartViaDaemon:
@@ -626,6 +639,84 @@ class TestShutdownDrain:
             assert client_end.recv(1) == b""  # the daemon closed its end
 
 
+class TestKeptAliveConnections:
+    """A client reuses its connection, and reconnects inside its one round
+    trip when the daemon closed the connection while it sat idle."""
+
+    def test_sequential_requests_share_one_connection(self, tmp_path):
+        store = TuningStore(tmp_path / "s.jsonl")
+        with DaemonHarness(store) as harness:
+            before = _connections()
+            client = harness.client()
+            for _ in range(5):
+                assert client.ping()["ok"] is True
+            assert client.stats()["daemon"]["pending"] == 0
+            assert _connections() == before + 1
+
+    def test_restarted_daemon_answers_the_next_request(
+        self, tmp_path, monkeypatch
+    ):
+        round_trips: list[str] = []
+        round_trip = TuningClient._round_trip
+
+        def counted(self, payload):
+            round_trips.append(payload["type"])
+            return round_trip(self, payload)
+
+        monkeypatch.setattr(TuningClient, "_round_trip", counted)
+        logged: list[str] = []
+
+        class Log:
+            def warn(self, event, **fields):
+                logged.append(event)
+
+            error = warn
+
+        monkeypatch.setattr(client_module, "_log", Log)
+        store_path = tmp_path / "s.jsonl"
+        with DaemonHarness(TuningStore(store_path)) as first:
+            port = first.port
+            client = TuningClient(port=port)
+            assert client.ping()["ok"] is True
+        with client, DaemonHarness(
+            TuningStore(store_path), DaemonConfig(port=port)
+        ):
+            round_trips.clear()
+            assert client.ping()["ok"] is True
+        assert round_trips == ["ping"]
+        assert logged == []
+
+    def test_timeout_on_a_reused_connection_sends_once(self):
+        """The peer answers the first frame and sits on the second: the
+        request times out, and no frame is sent again."""
+        frames: list[dict] = []
+        release = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def peer() -> None:
+                conn, _ = listener.accept()
+                with conn:
+                    frames.append(protocol.recv_frame(conn))
+                    protocol.send_frame(conn, protocol.ok())
+                    frames.append(protocol.recv_frame(conn))
+                    release.wait(10)
+
+            thread = threading.Thread(target=peer)
+            thread.start()
+            with TuningClient(
+                port=listener.getsockname()[1], timeout=0.2, retries=0
+            ) as client:
+                assert client.ping()["ok"] is True
+                with pytest.raises(ServiceUnavailable, match="timed out"):
+                    client.ping()
+            release.set()
+            thread.join(10)
+            listener.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                listener.accept()  # no second connection either
+        assert frames == [protocol.request("ping")] * 2
+
+
 class TestMetricsCountExactlyOnce:
     @staticmethod
     def _requests_total() -> float:
@@ -688,13 +779,15 @@ class TestClientFallback:
             return sock.getsockname()[1]
 
     def test_degrades_to_local_tuning(self, binary, workload):
-        client = TuningClient(port=self._dead_port(), retries=0, backoff=0.0)
         fallbacks = get_registry().counter(
             "orion_client_fallbacks_total",
             "Tune requests that degraded to in-process tuning.",
         )
         before = fallbacks.value(reason="ServiceUnavailable")
-        response = tune_with_fallback(client, binary, workload, GTX680)
+        with TuningClient(
+            port=self._dead_port(), retries=0, backoff=0.0
+        ) as client:
+            response = tune_with_fallback(client, binary, workload, GTX680)
         assert response["ok"] is True
         assert response["source"] == "local"
         assert response["degraded_reason"]
@@ -702,8 +795,9 @@ class TestClientFallback:
         assert fallbacks.value(reason="ServiceUnavailable") == before + 1
 
     def test_no_fallback_raises(self, binary, workload):
-        client = TuningClient(port=self._dead_port(), retries=0, backoff=0.0)
-        with pytest.raises(ServiceUnavailable):
+        with TuningClient(
+            port=self._dead_port(), retries=0, backoff=0.0
+        ) as client, pytest.raises(ServiceUnavailable):
             client.tune(binary, workload)
 
     def test_rejected_undecodable_binary_is_not_tuned_locally(self, tmp_path):
@@ -724,8 +818,9 @@ class TestClientFallback:
 
     def test_unreachable_daemon_undecodable_binary_is_not_tuned_locally(self):
         raw, workload = corrupt_hotspot()
-        client = TuningClient(port=self._dead_port(), retries=0, backoff=0.0)
-        with pytest.raises(CodecError, match="magic"):
+        with TuningClient(
+            port=self._dead_port(), retries=0, backoff=0.0
+        ) as client, pytest.raises(CodecError, match="magic"):
             tune_with_fallback(
                 client, MultiVersionBinary.from_bytes(raw), workload,
                 GTX680, backend="analytical",

@@ -62,6 +62,15 @@ class TestFraming:
         finally:
             b.close()
 
+    def test_clean_eof_before_a_frame_is_peer_closed(self):
+        a, b = socket.socketpair()
+        a.close()
+        try:
+            with pytest.raises(protocol.PeerClosed):
+                protocol.recv_frame(b)
+        finally:
+            b.close()
+
     def test_non_json_body_raises(self):
         with pytest.raises(ProtocolError, match="not JSON"):
             protocol.decode_body(b"\xff\xfe not json")
@@ -204,3 +213,62 @@ class TestAsyncFraming:
     def test_body_cut_mid_frame_raises(self):
         with pytest.raises(ProtocolError, match="mid frame"):
             self._read(struct.pack(">I", 100) + b'{"v":')
+
+
+class TestReconnectRule:
+    """Only a peer that closed a reused connection earns a resend."""
+
+    def test_peer_closed_is_a_condition_not_an_exception_class(self):
+        for closed in (
+            protocol.PeerClosed("peer closed before a frame"),
+            ConnectionResetError(),
+            BrokenPipeError(),
+        ):
+            assert protocol.peer_closed(closed)
+        # Both timeouts are OSErrors on Python 3.11; neither means the
+        # peer dropped the request.
+        for other in (
+            socket.timeout(),
+            asyncio.TimeoutError(),
+            ConnectionRefusedError(),
+            ProtocolError("connection closed mid frame"),
+        ):
+            assert not protocol.peer_closed(other)
+
+    def test_pool_timeout_on_a_reused_connection_sends_once(self):
+        """The peer answers the first frame and sits on the second: the
+        round trip times out, and the peer never sees the frame again."""
+
+        async def run() -> tuple[list, int]:
+            frames: list = []
+            connections = 0
+
+            async def peer(reader, writer) -> None:
+                nonlocal connections
+                connections += 1
+                try:
+                    frames.append(await protocol.read_frame(reader))
+                    await protocol.write_frame(writer, protocol.ok())
+                    frames.append(await protocol.read_frame(reader))
+                    await reader.read()  # until the pool drops it
+                except ConnectionError:
+                    pass
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(peer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            pool = protocol.PeerPool()
+            ping = protocol.request("ping")
+            assert await pool.round_trip("127.0.0.1", port, ping) == {"ok": True}
+            with pytest.raises(asyncio.TimeoutError):
+                await pool.round_trip("127.0.0.1", port, ping, timeout=0.2)
+            await asyncio.sleep(0.2)  # time for a resend to arrive
+            await pool.close()
+            server.close()
+            await server.wait_closed()
+            return frames, connections
+
+        frames, connections = asyncio.run(run())
+        assert frames == [protocol.request("ping")] * 2
+        assert connections == 1

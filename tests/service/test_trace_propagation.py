@@ -120,10 +120,10 @@ class TestForwardedTraceSpansBothDaemons:
 
         client_trace = tmp_path / "client.jsonl"
         hub = TelemetryHub(JsonlSink(client_trace))
-        with use_hub(hub):
-            response = TuningClient(
-                port=node_address(entry)[1], timeout=60.0
-            ).tune(binary, workload)
+        with use_hub(hub), TuningClient(
+            port=node_address(entry)[1], timeout=60.0
+        ) as client:
+            response = client.tune(binary, workload)
         hub.close()
         assert response["source"] == "tuned"
         assert response["node"] == owner
@@ -164,10 +164,10 @@ class TestForwardedTraceSpansBothDaemons:
         entry = next(node for node in ring if node != owner)
         client_trace = tmp_path / "client.jsonl"
         hub = TelemetryHub(JsonlSink(client_trace))
-        with use_hub(hub):
-            TuningClient(
-                port=node_address(entry)[1], timeout=60.0
-            ).tune(binary, workload)
+        with use_hub(hub), TuningClient(
+            port=node_address(entry)[1], timeout=60.0
+        ) as client:
+            client.tune(binary, workload)
         hub.close()
 
         traces = {"client": read_events(client_trace)}
