@@ -220,11 +220,11 @@ class TuningDaemon:
             max_workers=_TUNE_WORKERS,
             thread_name_prefix="orion-tune",
         )
-        # Store calls fsync and contend for a cross-process file lock, so
-        # they never run on the event-loop thread.  They get their own
-        # single worker (the store serializes internally anyway) rather
-        # than the tune pool, where a warm hit could queue behind a
-        # multi-second cold tune.
+        # Store puts and deletes fsync, and every store call takes a
+        # cross-process file lock, so none runs on the event-loop
+        # thread.  They get their own single worker (the store
+        # serializes internally anyway) rather than the tune pool, where
+        # a warm hit could queue behind a multi-second cold tune.
         self._store_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="orion-store"
         )

@@ -2,9 +2,13 @@
 
 An append-only JSONL operation log replayed into a key → record map:
 
-* **crash-safe** — every operation is one fsynced line; a torn final
-  line (crash mid-write) is detected on replay and the file is
-  truncated back to the last whole operation (*truncate-and-replay*);
+* **crash-safe** — every operation is one line, and every one that
+  changes what the store holds (``put``, ``del``, the header, a
+  rewrite) is fsynced before it returns; the ``touch`` of a hit is not,
+  so a crash can lose the recency of hits since the last synced op but
+  never a record or a deletion; a torn final line (crash mid-write) is
+  detected on replay and the file is truncated back to the last whole
+  operation (*truncate-and-replay*);
 * **multi-process** — every read-modify-write runs under an exclusive
   file lock (``fcntl.flock`` on a sidecar ``.lock`` file, with a
   create-exclusive spin fallback where ``fcntl`` is unavailable), and
@@ -267,12 +271,10 @@ class TuningStore:
 
     def _sync(self) -> None:
         """Bring in-memory state up to date with the on-disk log."""
-        if not self.path.exists():
-            self._write_header()
-            return
-        size = self.path.stat().st_size
+        size = self.path.stat().st_size if self.path.exists() else 0
         if size == 0:
-            # Truncated to nothing (e.g. crash mid-rewrite): start over.
+            # Removed, or truncated to nothing (e.g. crash mid-rewrite):
+            # the records replayed so far are gone, so start over.
             self._reset_replay_state()
             self._write_header()
             return
@@ -298,12 +300,18 @@ class TuningStore:
                 tail = handle.read()
             good = self._replay(tail, header_expected=True)
         if good < len(tail):
+            self._truncations += 1
+            if self._offset + good == 0:
+                # Not even the header is whole (crash mid-header): a
+                # log without one would be quarantined on the next full
+                # replay, so start a fresh log instead.
+                self._write_header()
+                return
             # Torn or corrupt tail: truncate back to the last whole op.
             with self.path.open("r+b") as handle:
                 handle.truncate(self._offset + good)
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._truncations += 1
         self._offset += good
 
     def _reset_replay_state(self) -> None:
@@ -429,7 +437,12 @@ class TuningStore:
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(line)
             handle.flush()
-            os.fsync(handle.fileno())
+            # A touch only moves a record's advisory recency.  Written
+            # under the file lock, every handle replays it at once, and
+            # the next synced op's fsync (which flushes the whole file)
+            # makes it durable; a crash before then loses recency only.
+            if op["op"] != "touch":
+                os.fsync(handle.fileno())
         self._offset += len(line.encode("utf-8"))
         self._log_ops += 1
 
@@ -441,7 +454,12 @@ class TuningStore:
     # Public API
     # ------------------------------------------------------------------
     def get(self, key: str) -> TuningRecord | None:
-        """Look up a record; a hit refreshes its LRU position."""
+        """Look up a record; a hit refreshes its LRU position.
+
+        The hit appends an unsynced ``touch``: every handle sees the new
+        recency at once, but a crash before the next synced op may lose
+        it (never the record).
+        """
         with self._locked():
             entry = self._entries.get(key)
             if entry is None:
