@@ -64,7 +64,6 @@ def calculate_occupancy(
     regs_per_thread: int,
     smem_per_block: int = 0,
     cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    reg_capacity_factor: float = 1.0,
 ) -> OccupancyResult:
     """Resident blocks/warps for one kernel configuration on one SM.
 
@@ -72,14 +71,6 @@ def calculate_occupancy(
     warp in units of ``register_allocation_unit``, the register-limited
     warp count is floored to the warp allocation granularity, and shared
     memory is rounded up to its allocation unit.
-
-    ``reg_capacity_factor`` virtualizes the register file for soft-limit
-    allocation strategies (Zorua-style): the register-limited warp count
-    is computed against ``registers_per_sm * factor``, letting more
-    warps be resident than the physical file backs.  The per-thread
-    architectural cap (``max_registers_per_thread``) is an ISA encoding
-    limit and is *not* relaxed.  The default ``1.0`` is the hardware
-    truth.
     """
     if block_size <= 0:
         raise ValueError("block_size must be positive")
@@ -90,8 +81,6 @@ def calculate_occupancy(
         )
     if regs_per_thread < 0 or smem_per_block < 0:
         raise ValueError("resource usages cannot be negative")
-    if reg_capacity_factor < 1.0:
-        raise ValueError("reg_capacity_factor cannot shrink the file")
 
     warps_per_block = ceil_to(block_size, arch.warp_size) // arch.warp_size
 
@@ -108,9 +97,8 @@ def calculate_occupancy(
         regs_per_warp = ceil_to(
             regs_per_thread * arch.warp_size, arch.register_allocation_unit
         )
-        register_capacity = int(arch.registers_per_sm * reg_capacity_factor)
         warps_fitting = floor_to(
-            register_capacity // regs_per_warp,
+            arch.registers_per_sm // regs_per_warp,
             arch.warp_allocation_granularity,
         )
         limits["registers"] = warps_fitting // warps_per_block
@@ -162,7 +150,6 @@ def max_regs_per_thread_for_warps(
     target_warps: int,
     smem_per_block: int = 0,
     cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    reg_capacity_factor: float = 1.0,
 ) -> int | None:
     """Largest register budget per thread achieving ``target_warps``.
 
@@ -175,12 +162,7 @@ def max_regs_per_thread_for_warps(
     best: int | None = None
     for regs in range(1, arch.max_registers_per_thread + 1):
         result = calculate_occupancy(
-            arch,
-            block_size,
-            regs,
-            smem_per_block,
-            cache_config,
-            reg_capacity_factor=reg_capacity_factor,
+            arch, block_size, regs, smem_per_block, cache_config
         )
         if result.active_warps >= target_warps:
             best = regs
@@ -196,7 +178,6 @@ def min_smem_padding_to_cap_warps(
     regs_per_thread: int,
     base_smem_per_block: int = 0,
     cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    reg_capacity_factor: float = 1.0,
 ) -> int | None:
     """Smallest extra shared memory per block capping warps at the target.
 
@@ -209,12 +190,7 @@ def min_smem_padding_to_cap_warps(
     if target_warps <= 0:
         raise ValueError("target_warps must be positive")
     current = calculate_occupancy(
-        arch,
-        block_size,
-        regs_per_thread,
-        base_smem_per_block,
-        cache_config,
-        reg_capacity_factor=reg_capacity_factor,
+        arch, block_size, regs_per_thread, base_smem_per_block, cache_config
     )
     if current.active_warps <= target_warps:
         return 0
@@ -228,7 +204,6 @@ def min_smem_padding_to_cap_warps(
             regs_per_thread,
             base_smem_per_block + padding,
             cache_config,
-            reg_capacity_factor=reg_capacity_factor,
         )
         if not result.is_launchable:
             return None

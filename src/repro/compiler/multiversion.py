@@ -21,6 +21,7 @@ from repro.compiler.realize import KernelVersion
 from repro.compiler.tuning import TuningPlan
 from repro.isa.encoding import CodecError, encode_module
 from repro.regalloc.allocator import AllocationOutcome
+from repro.regalloc.strategy import DEFAULT_STRATEGY_ID, STRATEGIES
 
 _MAGIC = b"ORMV"
 _LENGTH = struct.Struct("<I")
@@ -38,9 +39,9 @@ def version_content_hash(version: KernelVersion) -> str:
     the measurement cache should treat it so.
 
     A non-default allocation strategy *is* hashed: a spill-free kernel
-    compiles to identical bytes under every strategy, yet a soft-limit
-    version simulates with swap costs the local-spill one never pays —
-    strategies must never share measurements.  The reference
+    compiles to identical bytes under every strategy, and the tag keeps
+    the measurements and tuning results recorded for one strategy's
+    version from being served to another's.  The reference
     ``local-spill`` contributes nothing, keeping its hashes (and warm
     measurement caches) identical to pre-strategy builds.
     """
@@ -137,7 +138,8 @@ class MultiVersionBinary:
         Raises :class:`~repro.isa.encoding.CodecError` when the framing
         is malformed: bad magic, a section running past the end, an
         empty version, bytes after the last version, or a manifest that
-        is not JSON or lacks a field.
+        is not JSON, lacks a field or names an unregistered allocation
+        strategy.
         """
         if data[:4] != _MAGIC:
             raise CodecError("not a multi-version binary")
@@ -226,7 +228,12 @@ def _version_from_meta(
     keyed by bytes and resource fields, for the versions to share."""
     if not binary:
         raise CodecError(f"version {meta['label']!r} has no bytes")
-    strategy = meta.get("strategy", "local-spill")
+    strategy = meta.get("strategy", DEFAULT_STRATEGY_ID)
+    if strategy not in STRATEGIES:
+        raise CodecError(
+            f"version {meta['label']!r}: unknown allocation strategy "
+            f"{strategy!r}"
+        )
     fields = {
         "registers_per_thread": meta["regs_per_thread"],
         "shared_bytes_per_block": meta["smem_per_block"] - meta["smem_padding"],

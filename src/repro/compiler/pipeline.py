@@ -51,7 +51,7 @@ class CompileOptions:
 
     ``strategy`` names an allocation strategy (where spilled registers
     live — see :mod:`repro.regalloc.strategy`) or ``"mixed"`` to
-    enumerate candidates under every non-experimental strategy.  The
+    enumerate candidates under every registered strategy.  The
     default resolves ``$ORION_STRATEGY`` at construction time, so the
     resolved id (never the indirection) lands in the cache fingerprint.
     """

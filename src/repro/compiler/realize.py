@@ -18,7 +18,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.arch.occupancy import min_smem_padding_to_cap_warps
+from repro.arch.occupancy import (
+    calculate_occupancy,
+    max_regs_per_thread_for_warps,
+    min_smem_padding_to_cap_warps,
+)
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.ir.function import Module
 from repro.isa.encoding import decode_module, encode_module
@@ -29,7 +33,7 @@ from repro.regalloc.allocator import (
     allocate_module,
     prepare,
 )
-from repro.regalloc.strategy import AllocationStrategy, get_strategy
+from repro.regalloc.strategy import SpillStrategy, get_strategy
 
 
 class RealizeError(ValueError):
@@ -91,7 +95,7 @@ def realize_occupancy(
     label: str | None = None,
     space_minimization: bool = True,
     movement_minimization: bool = True,
-    strategy: str | AllocationStrategy | None = None,
+    strategy: str | SpillStrategy | None = None,
 ) -> KernelVersion:
     """Produce a kernel binary resident at exactly ``target_warps``.
 
@@ -108,7 +112,7 @@ def realize_occupancy(
     strat = get_strategy(strategy)
     prepared = prepare(module, kernel_name)
     user_smem = prepared.source.functions[kernel_name].shared_bytes
-    reg_budget = strat.max_regs_for_warps(
+    reg_budget = max_regs_per_thread_for_warps(
         arch, block_size, target_warps, user_smem, cache_config
     )
     if reg_budget is None:
@@ -141,7 +145,7 @@ def realize_occupancy(
             )
         except BudgetError as exc:
             raise RealizeError(str(exc)) from exc
-        occ = strat.occupancy(
+        occ = calculate_occupancy(
             arch,
             block_size,
             outcome.registers_per_thread,
@@ -176,14 +180,13 @@ def realize_occupancy(
             outcome.registers_per_thread,
             smem_total,
             cache_config,
-            reg_capacity_factor=strat.reg_oversubscription,
         )
         if padding is None:
             raise RealizeError(
                 f"cannot pad occupancy down to {target_warps} warps"
             )
         smem_total += padding
-        occ = strat.occupancy(
+        occ = calculate_occupancy(
             arch,
             block_size,
             outcome.registers_per_thread,
@@ -219,7 +222,6 @@ def repad_version(
     This is how the downward tuning direction explores occupancy levels.
     The repadded variant inherits the source version's strategy.
     """
-    strat = get_strategy(version.strategy)
     base_smem = version.smem_per_block - version.smem_padding
     padding = min_smem_padding_to_cap_warps(
         arch,
@@ -228,11 +230,10 @@ def repad_version(
         version.regs_per_thread,
         base_smem,
         cache_config,
-        reg_capacity_factor=strat.reg_oversubscription,
     )
     if padding is None:
         raise RealizeError(f"cannot pad down to {target_warps} warps")
-    occ = strat.occupancy(
+    occ = calculate_occupancy(
         arch,
         block_size,
         version.regs_per_thread,

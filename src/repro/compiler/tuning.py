@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.occupancy import occupancy_levels
+from repro.arch.occupancy import calculate_occupancy, occupancy_levels
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.compiler.maxlive import tuning_direction
 from repro.compiler.realize import (
@@ -46,7 +46,7 @@ from repro.regalloc.allocator import (
 )
 from repro.regalloc.strategy import (
     DEFAULT_STRATEGY_ID,
-    AllocationStrategy,
+    SpillStrategy,
     get_strategy,
 )
 
@@ -95,7 +95,7 @@ def original_version(
     arch: GpuArchitecture,
     block_size: int,
     cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    strategy: str | AllocationStrategy | None = None,
+    strategy: str | SpillStrategy | None = None,
 ) -> KernelVersion:
     """The paper's *original*: minimal spill-free registers (or the cap)."""
     strat = get_strategy(strategy)
@@ -110,7 +110,7 @@ def original_version(
         outcome = allocate_module(
             prepared, kernel_name, cap, block_size=block_size, strategy=strat
         )
-    occ = strat.occupancy(
+    occ = calculate_occupancy(
         arch,
         block_size,
         outcome.registers_per_thread,
@@ -137,27 +137,23 @@ def conservative_level(
     arch: GpuArchitecture,
     block_size: int,
     cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    strategy: str | AllocationStrategy | None = None,
 ) -> int:
     """Highest warp count at which all live values still fit on-chip.
 
     At ``W`` resident warps each thread owns ``regs/W·32`` register
     slots plus its share of spare shared memory; the conservative level
-    is the largest ``W`` whose combined slots cover max-live.  A
-    soft-limit strategy sees a proportionally larger register file.
+    is the largest ``W`` whose combined slots cover max-live.  Occupancy
+    does not depend on the allocation strategy, so neither does the
+    level.
     """
-    strat = get_strategy(strategy)
     prepared = prepare(module, kernel_name)
     ml = max(1, prepared.max_live())
     user_smem = prepared.source.functions[kernel_name].shared_bytes
     warps_per_block = max(1, (block_size + arch.warp_size - 1) // arch.warp_size)
     best = occupancy_levels(arch, block_size)[0]
-    register_capacity = int(
-        arch.registers_per_sm * strat.reg_oversubscription
-    )
     for warps in occupancy_levels(arch, block_size):
         threads = warps * arch.warp_size
-        reg_slots = register_capacity // threads
+        reg_slots = arch.registers_per_sm // threads
         blocks = warps // warps_per_block
         spare_smem = arch.shared_memory_bytes(cache_config) - blocks * user_smem
         smem_slots = max(0, spare_smem) // (threads * 4)
@@ -215,29 +211,25 @@ def compile_time_tuning(
     levels = occupancy_levels(arch, block_size)
 
     if direction == "increasing":
-        realized_per_strategy: list[list[KernelVersion]] = []
-        for sid in strategy_set:
-            floor = conservative_level(
-                prepared, kernel_name, arch, block_size, cache_config,
+        floor = conservative_level(
+            prepared, kernel_name, arch, block_size, cache_config
+        )
+        targets = _thin(
+            [w for w in levels if w >= max(floor, original.achieved_warps + 1)],
+            max_versions - 1,
+        )
+        realized_per_strategy = [
+            _realize_targets(
+                prepared,
+                kernel_name,
+                arch,
+                block_size,
+                targets,
+                cache_config,
                 strategy=sid,
             )
-            targets = [
-                w
-                for w in levels
-                if w >= max(floor, original.achieved_warps + 1)
-            ]
-            targets = _thin(targets, max_versions - 1)
-            realized_per_strategy.append(
-                _realize_targets(
-                    prepared,
-                    kernel_name,
-                    arch,
-                    block_size,
-                    targets,
-                    cache_config,
-                    strategy=sid,
-                )
-            )
+            for sid in strategy_set
+        ]
         if len(realized_per_strategy) == 1:
             plan.versions.extend(realized_per_strategy[0])
         else:

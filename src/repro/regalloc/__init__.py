@@ -21,9 +21,7 @@ from repro.regalloc.strategy import (
     DEFAULT_STRATEGY_ID,
     LOCAL_SPILL,
     SMEM_SPILL,
-    SOFT_LIMIT,
     STRATEGIES,
-    AllocationStrategy,
     SpillStrategy,
     default_strategy_id,
     get_strategy,
@@ -45,7 +43,6 @@ from repro.regalloc.stack import (
 
 __all__ = [
     "AllocationOutcome",
-    "AllocationStrategy",
     "BudgetError",
     "Cluster",
     "CoalesceReport",
@@ -56,7 +53,6 @@ __all__ = [
     "LOCAL_SPILL",
     "PreparedModule",
     "SMEM_SPILL",
-    "SOFT_LIMIT",
     "STRATEGIES",
     "SharedPromotion",
     "SpillState",

@@ -36,7 +36,7 @@ from repro.isa.registers import PhysReg, Reg, VirtualReg
 from repro.regalloc.chaitin import color_graph
 from repro.regalloc.shared_assign import promote_spills_to_shared
 from repro.regalloc.spill import SpillState, insert_spill_code
-from repro.regalloc.strategy import AllocationStrategy, get_strategy
+from repro.regalloc.strategy import SpillStrategy, get_strategy
 from repro.regalloc.stack import (
     InterprocResult,
     StackError,
@@ -68,7 +68,7 @@ class AllocationOutcome:
     stack_moves: int
     interproc: InterprocResult | None = None
     colorings: dict[str, dict[Reg, int]] = field(default_factory=dict)
-    #: id of the :class:`~repro.regalloc.strategy.AllocationStrategy`
+    #: id of the :class:`~repro.regalloc.strategy.SpillStrategy`
     #: that placed the spills (resource accounting follows it).
     strategy: str = "local-spill"
     #: spill slots living in the per-thread shared-memory frame
@@ -166,7 +166,7 @@ def allocate_module(
     space_minimization: bool = True,
     movement_minimization: bool = True,
     max_iterations: int = 48,
-    strategy: str | AllocationStrategy | None = None,
+    strategy: str | SpillStrategy | None = None,
 ) -> AllocationOutcome:
     """Allocate ``module`` so the kernel tree fits ``reg_budget`` slots.
 

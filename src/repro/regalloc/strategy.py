@@ -1,10 +1,9 @@
-"""Pluggable allocation strategies: where register pressure goes.
+"""Allocation strategies: where register pressure goes.
 
 Orion's upward tuning shrinks the per-thread register budget, and the
-squeezed-out values have to live *somewhere*.  The paper (and this
-reproduction until now) hardwires one answer — thread-private local
-memory, cached by L1 — but the literature offers real alternatives with
-materially different occupancy/latency trade-offs:
+squeezed-out values have to live *somewhere*.  The paper hardwires one
+answer — thread-private local memory, cached by L1 — and this module
+registers a second with a different occupancy/latency trade-off:
 
 * **local-spill** — the reference behaviour.  Spill slots live in a
   per-thread local-memory frame (off-chip, L1-cached).  Cheap in
@@ -15,17 +14,9 @@ materially different occupancy/latency trade-offs:
   fixed shared-memory latency and never touch DRAM, but the frame
   scales with the block size and eats the very resource that bounds
   occupancy.
-* **soft-limit** — an experimental Zorua-style (arXiv:1802.02573)
-  virtualized register file.  Occupancy arithmetic pretends the
-  register file is ``reg_oversubscription`` times its physical size, so
-  more warps are resident than the registers can actually hold; the
-  simulator charges a deterministic swap penalty to model the runtime
-  shuffling of oversubscribed register state through the L2-backed
-  swap space.
 
-A strategy owns (a) the spill-target decision inside the allocator,
-(b) the occupancy arithmetic used to realize and measure candidates,
-and (c) the swap-cost model the timing simulator applies.  Everything
+A strategy owns only the spill-target decision inside the allocator;
+occupancy is the hardware's Equation 1 under either.  Everything
 downstream — candidate generation, fingerprints, cache keys, bench
 reports — carries the strategy *id* so results never cross strategies.
 """
@@ -34,13 +25,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.arch.occupancy import OccupancyResult
-    from repro.arch.specs import CacheConfig, GpuArchitecture
-
-#: The reference strategy: today's (and the paper's) behaviour.
+#: The reference strategy: the paper's behaviour.
 DEFAULT_STRATEGY_ID = "local-spill"
 
 #: Environment knob consumed by :func:`default_strategy_id` — lets CI run
@@ -49,164 +35,29 @@ DEFAULT_STRATEGY_ID = "local-spill"
 STRATEGY_ENV = "ORION_STRATEGY"
 
 
-@runtime_checkable
-class AllocationStrategy(Protocol):
-    """What every allocation strategy must answer.
-
-    Structural protocol so out-of-tree strategies (ROADMAP 3a/3b/3c
-    follow-ons) can plug in without subclassing anything from this
-    module.
-    """
-
-    id: str
-    #: Spill slots are promoted into a per-thread shared-memory frame.
-    spills_to_shared: bool
-    #: Virtual register file size as a multiple of the physical one
-    #: (1.0 = hard limits, the hardware truth).
-    reg_oversubscription: float
-    experimental: bool
-
-    def occupancy(
-        self,
-        arch: "GpuArchitecture",
-        block_size: int,
-        regs_per_thread: int,
-        smem_per_block: int,
-        cache_config: "CacheConfig",
-    ) -> "OccupancyResult": ...
-
-    def max_regs_for_warps(
-        self,
-        arch: "GpuArchitecture",
-        block_size: int,
-        target_warps: int,
-        smem_per_block: int,
-        cache_config: "CacheConfig",
-    ) -> int | None: ...
-
-    def swap_model(
-        self,
-        arch: "GpuArchitecture",
-        block_size: int,
-        regs_per_thread: int,
-        smem_per_block: int,
-        cache_config: "CacheConfig",
-    ) -> tuple[int, int]: ...
-
-
 @dataclass(frozen=True)
 class SpillStrategy:
-    """Concrete :class:`AllocationStrategy` driven by two dials.
+    """One registered strategy: an id and its one dial.
 
     ``spills_to_shared`` flips the spill target from local memory to a
-    per-thread shared-memory frame; ``reg_oversubscription`` > 1.0
-    virtualizes the register file for the occupancy arithmetic and
-    makes :meth:`swap_model` charge for the overflow.
+    per-thread shared-memory frame.
     """
 
     id: str
     spills_to_shared: bool = False
-    reg_oversubscription: float = 1.0
-    experimental: bool = False
-
-    def occupancy(
-        self,
-        arch,
-        block_size,
-        regs_per_thread,
-        smem_per_block=0,
-        cache_config=None,
-    ):
-        """Strategy-aware Equation 1 (oversubscription-adjusted)."""
-        from repro.arch.occupancy import calculate_occupancy
-        from repro.arch.specs import CacheConfig
-
-        return calculate_occupancy(
-            arch,
-            block_size,
-            regs_per_thread,
-            smem_per_block,
-            cache_config or CacheConfig.SMALL_CACHE,
-            reg_capacity_factor=self.reg_oversubscription,
-        )
-
-    def max_regs_for_warps(
-        self,
-        arch,
-        block_size,
-        target_warps,
-        smem_per_block=0,
-        cache_config=None,
-    ):
-        from repro.arch.occupancy import max_regs_per_thread_for_warps
-        from repro.arch.specs import CacheConfig
-
-        return max_regs_per_thread_for_warps(
-            arch,
-            block_size,
-            target_warps,
-            smem_per_block,
-            cache_config or CacheConfig.SMALL_CACHE,
-            reg_capacity_factor=self.reg_oversubscription,
-        )
-
-    def swap_model(
-        self,
-        arch,
-        block_size,
-        regs_per_thread,
-        smem_per_block=0,
-        cache_config=None,
-    ) -> tuple[int, int]:
-        """``(swap_interval, swap_latency)`` for the timing simulator.
-
-        ``(0, 0)`` means no swapping.  Under oversubscription the SM
-        hosts more warps than the register file physically backs; the
-        overflow fraction determines how often a warp's next
-        instruction finds its registers swapped out.  The model is
-        deliberately deterministic (a fixed instruction interval, not a
-        random draw): every ``interval``-th instruction of every warp
-        pays ``latency`` extra cycles, with ``latency`` the L2 latency
-        because the swap space is L2-resident.
-        """
-        if self.reg_oversubscription <= 1.0:
-            return (0, 0)
-        from repro.arch.specs import CacheConfig
-
-        config = cache_config or CacheConfig.SMALL_CACHE
-        soft = self.occupancy(
-            arch, block_size, regs_per_thread, smem_per_block, config
-        )
-        from repro.arch.occupancy import calculate_occupancy
-
-        hard = calculate_occupancy(
-            arch, block_size, regs_per_thread, smem_per_block, config
-        )
-        overflow = soft.active_warps - hard.active_warps
-        if overflow <= 0:
-            return (0, 0)
-        # The overflow fraction of resident register state is swapped
-        # out at any time; a warp touches swapped state roughly every
-        # resident/overflow instructions, stretched by a granularity
-        # factor of 4 (swaps move register *groups*, not single regs).
-        interval = max(2, (4 * soft.active_warps) // overflow)
-        return (interval, arch.l2_latency)
 
 
 LOCAL_SPILL = SpillStrategy(id="local-spill")
 SMEM_SPILL = SpillStrategy(id="smem-spill", spills_to_shared=True)
-SOFT_LIMIT = SpillStrategy(
-    id="soft-limit", reg_oversubscription=1.5, experimental=True
-)
 
-#: Registry, mirroring ``repro.sim.backend.BACKENDS``.
-STRATEGIES: dict[str, AllocationStrategy] = {
-    strategy.id: strategy
-    for strategy in (LOCAL_SPILL, SMEM_SPILL, SOFT_LIMIT)
+#: Registry, mirroring ``repro.sim.backend.BACKENDS``; the reference
+#: strategy comes first.
+STRATEGIES: dict[str, SpillStrategy] = {
+    strategy.id: strategy for strategy in (LOCAL_SPILL, SMEM_SPILL)
 }
 
 #: Pseudo-strategy accepted by the CLI / CompileOptions: enumerate
-#: candidates under every non-experimental strategy and let the dynamic
+#: candidates under every registered strategy and let the dynamic
 #: tuner pick per kernel.
 MIXED_ID = "mixed"
 
@@ -216,8 +67,7 @@ def default_strategy_id() -> str:
 
     Only *entry points* (CompileOptions, the CLI) consult this; inner
     layers default to the explicit reference strategy so unit tests of
-    allocator/simulator internals stay stable under the CI strategy
-    matrix.
+    allocator internals stay stable under the CI strategy matrix.
     """
     value = os.environ.get(STRATEGY_ENV, "").strip()
     if not value:
@@ -230,9 +80,7 @@ def default_strategy_id() -> str:
     return value
 
 
-def get_strategy(
-    strategy: str | AllocationStrategy | None,
-) -> AllocationStrategy:
+def get_strategy(strategy: str | SpillStrategy | None) -> SpillStrategy:
     """Resolve a strategy id (or pass an instance through).
 
     ``None`` resolves to the reference ``local-spill`` strategy — *not*
@@ -255,18 +103,14 @@ def get_strategy(
 def strategy_ids(selector: str | None) -> tuple[str, ...]:
     """Expand a CLI/CompileOptions selector into concrete strategy ids.
 
-    ``mixed`` expands to every non-experimental strategy (reference
-    first, so candidate ordering and fail-safe selection stay anchored
-    to today's behaviour); anything else must name one registered
+    ``mixed`` expands to every registered strategy (reference first, so
+    candidate ordering and fail-safe selection stay anchored to the
+    paper's behaviour); anything else must name one registered
     strategy.
     """
     if selector is None:
         selector = default_strategy_id()
     if selector == MIXED_ID:
-        return tuple(
-            sid
-            for sid, strat in STRATEGIES.items()
-            if not strat.experimental
-        )
+        return tuple(STRATEGIES)
     get_strategy(selector)  # validate
     return (selector,)

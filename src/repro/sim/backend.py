@@ -2,11 +2,11 @@
 
 The runtime engine never calls the simulator directly; it asks an
 :class:`ExecutionBackend` to measure one *(kernel version, launch)*
-pair and gets back a :class:`MeasurementResult`.  Decoupling policy
-(the Fig. 9 tuner, the scheduler) from the execution substrate is the
-Zorua-style split the ROADMAP asks for: every consumer of "how fast is
-this version" — the dynamic tuner, the harness figures, the CLI — goes
-through the same seam, so swapping the substrate never touches them.
+pair and gets back a :class:`MeasurementResult`.  Policy (the Fig. 9
+tuner, the scheduler) is decoupled from the execution substrate: every
+consumer of "how fast is this version" — the dynamic tuner, the harness
+figures, the CLI — goes through the same seam, so swapping the
+substrate never touches them.
 
 Three backends ship:
 
@@ -145,7 +145,6 @@ class TimingBackend:
             ilp=request.ilp,
             max_events_per_warp=request.max_events_per_warp,
             forced_warps=request.forced_warps,
-            strategy=version.strategy,
         )
         cycles = timing.total_cycles
         result = MeasurementResult(
@@ -178,7 +177,6 @@ class AnalyticalBackend:
             version.smem_per_block,
             request.cache_config,
             request.forced_warps,
-            version.strategy,
         )
         profile = profile_kernel(
             version.module, version.kernel_name, traits=request.traits

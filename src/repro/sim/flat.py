@@ -24,10 +24,9 @@ in two queues:
   joins the FIFO only when its ready time is strictly above the last
   one appended, which keeps the FIFO sorted by ``(ready, warp index)``;
 * a heap of every other wake-up: memory completions, SMEM/SFU/CTRL
-  issues, barrier releases, an ALU wake-up tied with the last one
+  issues, barrier releases, and an ALU wake-up tied with the last one
   appended (the lower warp index must issue first, whichever came
-  first), and an ALU wake-up the swap model delays (a later, undelayed
-  one can be ready sooner).
+  first).
 
 The loop issues from the smaller of the two heads, so the ALU work that
 makes up most issues takes a deque append and pop instead of a trip
@@ -127,8 +126,6 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
         _SFU: (max(1.0, arch.sfu_latency / sim.ilp), issue_interval * 4),
         _CTRL: (1, issue_interval),
     }
-    swap_interval = sim.swap_interval
-    swap_latency = sim.swap_latency
 
     nwarps = len(traces)
     wpb = max(1, warps_per_block)
@@ -203,7 +200,7 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
         if code == _ALU:
             issue_clock = start + alu_cost
             ready = start + alu_latency
-            if p < n and not (swap_interval and p % swap_interval == 0):
+            if p < n:
                 if ready > fifo_last:
                     fifo_append((ready, index))
                     fifo_last = ready
@@ -296,10 +293,6 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
             ready = start + latency
             issue_clock = start + cost
 
-        # Oversubscription swap cost, added where the reference loop
-        # adds it (after the unit's latency), so floats stay identical.
-        if swap_interval and p % swap_interval == 0:
-            ready += swap_latency
         if p < n:
             heappush(heap, (ready, index))
             continue

@@ -10,7 +10,9 @@ independent), so
 The resident-warp count — the paper's occupancy knob — comes straight
 from the occupancy calculator applied to the *binary's* register and
 shared-memory usage, so different Orion-generated versions of the same
-kernel genuinely run at different occupancies here.
+kernel genuinely run at different occupancies here.  Equation 1 is the
+same whichever allocation strategy produced the binary: a strategy
+shows only in the code and the shared memory it spills to.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.arch.occupancy import OccupancyResult
+from repro.arch.occupancy import OccupancyResult, calculate_occupancy
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.ir.function import Module
-from repro.regalloc.strategy import AllocationStrategy, get_strategy
 from repro.sim.interp import Interpreter, LaunchConfig
 from repro.sim.sm import SMResult, SMSimulator
 from repro.sim.trace import MemoryTraits, WarpTrace, _trace_warp
@@ -127,7 +128,6 @@ def residency(
     smem_per_block: int,
     cache_config: CacheConfig,
     forced_warps: int | None,
-    strategy: str | AllocationStrategy | None,
 ) -> tuple[OccupancyResult, int, int, int]:
     """``(occupancy, warps_per_block, total_warps, resident)`` of a launch.
 
@@ -136,7 +136,7 @@ def residency(
     launch.  Raises :class:`LaunchError` when the configuration does
     not launch on ``arch``.
     """
-    occ = get_strategy(strategy).occupancy(
+    occ = calculate_occupancy(
         arch, launch.block_size, regs_per_thread, smem_per_block, cache_config
     )
     if not occ.is_launchable:
@@ -163,19 +163,14 @@ def simulate_kernel(
     ilp: float = 1.0,
     max_events_per_warp: int = 6000,
     forced_warps: int | None = None,
-    strategy: str | AllocationStrategy | None = None,
 ) -> KernelTiming:
     """Simulate one kernel launch and return its timing.
 
     ``forced_warps`` overrides the calculated resident-warp count (used
     by sweeps that pin occupancy directly); it is still capped by the
-    launch size.  ``strategy`` (an allocation-strategy id; ``None`` =
-    the reference ``local-spill``) controls the occupancy arithmetic
-    and, for soft-limit strategies, adds the oversubscription swap cost
-    to the SM model.  The warp traces come from the per-module trace
-    cache (:func:`_cached_traces`).
+    launch size.  The warp traces come from the per-module trace cache
+    (:func:`_cached_traces`).
     """
-    strat = get_strategy(strategy)
     occ, warps_per_block, _, resident = residency(
         arch,
         kernel_name,
@@ -184,7 +179,6 @@ def simulate_kernel(
         smem_per_block,
         cache_config,
         forced_warps,
-        strat,
     )
     traces = _cached_traces(
         module,
@@ -195,17 +189,7 @@ def simulate_kernel(
         max_events_per_warp,
         arch.cache_line_bytes,
     )
-    swap_interval, swap_latency = strat.swap_model(
-        arch, launch.block_size, regs_per_thread, smem_per_block, cache_config
-    )
-    sim = SMSimulator(
-        arch,
-        cache_config,
-        traits=traits,
-        ilp=ilp,
-        swap_interval=swap_interval,
-        swap_latency=swap_latency,
-    )
+    sim = SMSimulator(arch, cache_config, traits=traits, ilp=ilp)
     result = sim.run(traces, warps_per_block)
 
     blocks_per_wave = max(1, (resident // warps_per_block)) * arch.num_sms

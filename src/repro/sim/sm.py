@@ -49,8 +49,6 @@ class SMSimulator:
         cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
         traits: MemoryTraits | None = None,
         ilp: float = 1.0,
-        swap_interval: int = 0,
-        swap_latency: int = 0,
     ) -> None:
         self.arch = arch
         self.cache_config = cache_config
@@ -58,14 +56,6 @@ class SMSimulator:
         if not 0 < ilp < math.inf:
             raise ValueError(f"ilp must be finite and positive, got {ilp!r}")
         self.ilp = ilp
-        # Soft-limit (oversubscribed) strategies: every ``swap_interval``-th
-        # instruction of a warp pays ``swap_latency`` extra cycles for
-        # register state swapped out of the physical file.  ``0`` (the
-        # default, and every hard-limit strategy) disables the model.
-        if swap_interval < 0 or swap_latency < 0:
-            raise ValueError("swap model parameters cannot be negative")
-        self.swap_interval = swap_interval
-        self.swap_latency = swap_latency
 
     def run(self, traces: list[WarpTrace], warps_per_block: int) -> SMResult:
         if not traces:

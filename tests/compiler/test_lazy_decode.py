@@ -136,6 +136,17 @@ class TestStrictFraming:
         with pytest.raises(CodecError, match="manifest"):
             MultiVersionBinary.from_bytes(data)
 
+    @pytest.mark.parametrize("strategy", ["soft-limit", "bogus"])
+    def test_unregistered_strategy_rejected(self, data, strategy):
+        """A manifest may name only a registered strategy: no later
+        step can time or key a version under an id nothing defines."""
+        binary = MultiVersionBinary.from_bytes(data)
+        binary.versions[-1].strategy = strategy
+        with pytest.raises(
+            CodecError, match=f"unknown allocation strategy '{strategy}'"
+        ):
+            MultiVersionBinary.from_bytes(binary.to_bytes())
+
     def test_corrupt_version_fails_only_when_decoded(self, data):
         label = MultiVersionBinary.from_bytes(data).failsafe[0].label
         binary = MultiVersionBinary.from_bytes(corrupt_version(data, label))

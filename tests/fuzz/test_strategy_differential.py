@@ -13,7 +13,7 @@ from repro.fuzz import FuzzFailure, check_case, run_fuzz
 
 
 class TestStrategyOracle:
-    @pytest.mark.parametrize("strategy", ["smem-spill", "soft-limit"])
+    @pytest.mark.parametrize("strategy", ["smem-spill"])
     def test_clean_cases(self, strategy):
         failures, checked = check_case(3, "branchy", strategy=strategy)
         assert failures == []

@@ -1,27 +1,22 @@
-"""Allocation-strategy tests: registry, occupancy dials, spill targets.
+"""Allocation-strategy tests: registry and spill targets.
 
-The strategy layer is the seam the whole PR hangs off: the registry
-must resolve deterministically (``None`` = reference, *not* the
-environment), the soft-limit occupancy arithmetic must oversubscribe
-exactly by its factor, and the shared-spill allocator path must move
-spill slots into the per-thread shared frame without changing kernel
-semantics.
+The registry must resolve deterministically (``None`` = reference,
+*not* the environment) and know exactly the two spill targets, and the
+shared-spill allocator path must move spill slots into the per-thread
+shared frame without changing kernel semantics.
 """
 
 import pytest
 
-from repro.arch import CacheConfig, GTX680, TESLA_C2075
-from repro.arch.occupancy import calculate_occupancy
 from repro.regalloc.allocator import allocate_module, minimal_budget
 from repro.regalloc.strategy import (
     DEFAULT_STRATEGY_ID,
     LOCAL_SPILL,
     MIXED_ID,
     SMEM_SPILL,
-    SOFT_LIMIT,
     STRATEGIES,
     STRATEGY_ENV,
-    AllocationStrategy,
+    SpillStrategy,
     default_strategy_id,
     get_strategy,
     strategy_ids,
@@ -35,11 +30,13 @@ LAUNCH = LaunchConfig(grid_blocks=1, block_size=8, params={0: 6})
 class TestRegistry:
     def test_reference_is_registered_default(self):
         assert DEFAULT_STRATEGY_ID == "local-spill"
-        assert set(STRATEGIES) == {"local-spill", "smem-spill", "soft-limit"}
-
-    def test_instances_satisfy_the_protocol(self):
-        for strategy in STRATEGIES.values():
-            assert isinstance(strategy, AllocationStrategy)
+        # Two spill targets, reference first; ``spills_to_shared`` is
+        # the one dial that tells them apart.
+        assert STRATEGIES == {
+            "local-spill": SpillStrategy("local-spill"),
+            "smem-spill": SpillStrategy("smem-spill", spills_to_shared=True),
+        }
+        assert list(STRATEGIES) == ["local-spill", "smem-spill"]
 
     def test_none_resolves_to_reference_not_env(self, monkeypatch):
         monkeypatch.setenv(STRATEGY_ENV, "smem-spill")
@@ -49,65 +46,25 @@ class TestRegistry:
         assert default_strategy_id() == "smem-spill"
 
     def test_env_default_validates(self, monkeypatch):
-        monkeypatch.setenv(STRATEGY_ENV, "no-such-strategy")
-        with pytest.raises(ValueError, match="unknown strategy"):
-            default_strategy_id()
+        for value in ("no-such-strategy", "soft-limit"):
+            monkeypatch.setenv(STRATEGY_ENV, value)
+            with pytest.raises(ValueError, match="unknown strategy"):
+                default_strategy_id()
         monkeypatch.setenv(STRATEGY_ENV, "")
         assert default_strategy_id() == DEFAULT_STRATEGY_ID
 
     def test_get_strategy_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown allocation strategy"):
-            get_strategy("register-banking")
+        for sid in ("register-banking", "soft-limit"):
+            with pytest.raises(ValueError, match="unknown allocation strategy"):
+                get_strategy(sid)
 
     def test_instances_pass_through(self):
         assert get_strategy(SMEM_SPILL) is SMEM_SPILL
 
     def test_strategy_ids_expansion(self):
         assert strategy_ids("local-spill") == ("local-spill",)
-        # Mixed enumerates every non-experimental strategy, reference first.
+        # Mixed enumerates every registered strategy, reference first.
         assert strategy_ids(MIXED_ID) == ("local-spill", "smem-spill")
-        assert SOFT_LIMIT.id not in strategy_ids(MIXED_ID)
-
-
-class TestOccupancyDials:
-    def test_reference_matches_equation_one(self):
-        for regs in (21, 32, 48, 63):
-            strat = calculate_occupancy(GTX680, 256, regs)
-            assert LOCAL_SPILL.occupancy(GTX680, 256, regs) == strat
-
-    def test_soft_limit_oversubscribes_registers(self):
-        # 63 regs/thread caps a GTX680 SM well below 64 warps; a 1.5x
-        # virtual register file admits more warps than the hardware
-        # truth, never fewer.
-        hard = calculate_occupancy(GTX680, 256, 63)
-        soft = SOFT_LIMIT.occupancy(GTX680, 256, 63)
-        assert soft.active_warps > hard.active_warps
-        exact = calculate_occupancy(
-            GTX680, 256, 63, reg_capacity_factor=1.5
-        )
-        assert soft == exact
-
-    def test_swap_model_silent_without_oversubscription(self):
-        for strat in (LOCAL_SPILL, SMEM_SPILL):
-            assert strat.swap_model(GTX680, 256, 63, 0) == (0, 0)
-
-    def test_swap_model_silent_when_registers_are_not_the_limiter(self):
-        # At 21 regs/thread the scheduler caps warps before registers
-        # do; oversubscription changes nothing, so no swap traffic.
-        assert SOFT_LIMIT.swap_model(GTX680, 256, 21, 0) == (0, 0)
-
-    def test_swap_model_interval_follows_overflow(self):
-        soft = SOFT_LIMIT.occupancy(GTX680, 256, 63)
-        hard = calculate_occupancy(GTX680, 256, 63)
-        overflow = soft.active_warps - hard.active_warps
-        interval, latency = SOFT_LIMIT.swap_model(GTX680, 256, 63, 0)
-        assert interval == max(2, (4 * soft.active_warps) // overflow)
-        assert latency == GTX680.l2_latency
-
-    def test_max_regs_for_warps_honours_oversubscription(self):
-        hard = LOCAL_SPILL.max_regs_for_warps(TESLA_C2075, 256, 48, 0)
-        soft = SOFT_LIMIT.max_regs_for_warps(TESLA_C2075, 256, 48, 0)
-        assert soft > hard
 
 
 class TestSharedSpillAllocation:

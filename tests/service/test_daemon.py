@@ -380,6 +380,46 @@ class TestDaemonRobustness:
         assert _backend_invocations() == before
         assert len(store) == 0
 
+    def test_unregistered_strategy_is_a_bad_request(
+        self, tmp_path, binary, monkeypatch
+    ):
+        """A manifest naming a strategy nothing registers (the retired
+        ``soft-limit`` among them) is refused at decode, before the
+        daemon keys, admits or stores anything."""
+        keyed, admitted = [], []
+        original_key = daemon_module.tuning_key
+        original_admit = TuningDaemon._admit
+
+        def tuning_key(*args, **kwargs):
+            keyed.append(args)
+            return original_key(*args, **kwargs)
+
+        def admit(self, *args, **kwargs):
+            admitted.append(args)
+            return original_admit(self, *args, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "tuning_key", tuning_key)
+        monkeypatch.setattr(TuningDaemon, "_admit", admit)
+        store = TuningStore(tmp_path / "s.jsonl")
+        before = _backend_invocations()
+        with DaemonHarness(store) as harness:
+            for strategy in ("soft-limit", "bogus"):
+                patched = MultiVersionBinary.from_bytes(binary.to_bytes())
+                patched.versions[-1].strategy = strategy
+                response = _raw_tune(
+                    harness.port,
+                    patched.to_bytes(),
+                    {"grid_blocks": 64, "block_size": 256},
+                )
+                assert response["code"] == protocol.CODE_BAD_REQUEST
+                assert (
+                    f"unknown allocation strategy {strategy!r}"
+                    in response["error"]
+                )
+        assert keyed == [] and admitted == []
+        assert _backend_invocations() == before
+        assert len(store) == 0
+
     def test_queue_full_rejection_carries_retry_after(
         self, tmp_path, binary, workload
     ):

@@ -390,8 +390,6 @@ def _run_pure(
     alu_latency = max(1.0, arch.alu_latency / self.ilp)
     sfu_latency = max(1.0, arch.sfu_latency / self.ilp)
     divergence = self.traits.divergence
-    swap_interval = self.swap_interval
-    swap_latency = self.swap_latency
 
     issue_clock = 0.0
     instructions = 0
@@ -456,12 +454,6 @@ def _run_pure(
         else:  # ALU and everything else
             warp.ready = start + alu_latency
             cost = issue_interval * divergence
-
-        # Oversubscription swap cost (soft-limit strategies): a
-        # deterministic per-warp surcharge on every interval-th
-        # instruction, modelling a register group swapped back in.
-        if swap_interval and (warp.pc + 1) % swap_interval == 0:
-            warp.ready += swap_latency
 
         issue_clock = start + cost
         instructions += 1

@@ -84,10 +84,9 @@ def _assert_loop_matches_reference(sim, warps, warps_per_block):
     cache_config=st.sampled_from(list(CacheConfig)),
     ilp=st.sampled_from([1.0, 2.5]),
     divergence=st.sampled_from([1.0, 1.5]),
-    swap=st.sampled_from([(0, 0), (1, 7), (3, 40), (5, 200)]),
 )
 def test_event_traces_match_the_reference(
-    warps, warps_per_block, arch, cache_config, ilp, divergence, swap
+    warps, warps_per_block, arch, cache_config, ilp, divergence
 ):
     """Warps of unequal length with uneven barrier counts stand in for
     truncated traces: a finishing warp can release its block's barrier."""
@@ -96,8 +95,6 @@ def test_event_traces_match_the_reference(
         cache_config,
         traits=MemoryTraits(divergence=divergence),
         ilp=ilp,
-        swap_interval=swap[0],
-        swap_latency=swap[1],
     )
     _assert_loop_matches_reference(sim, warps, warps_per_block)
 
@@ -173,25 +170,6 @@ def test_alu_wake_ups_tied_with_each_other():
     _assert_loop_matches_reference(sim, warps, 1)
 
 
-def _swap_warps(count):
-    """Mostly-ALU warps of uneven length, a load and a barrier each."""
-    warps = []
-    for w in range(count):
-        head = [_ALU_EVENT] * (3 + w % 7) + [_load((w % 5) << 20)]
-        tail = [_ALU_EVENT] * (2 + w % 3) + [_CTRL_EVENT] + [_ALU_EVENT] * (w % 4)
-        warps.append(head + [_BARRIER_EVENT] + tail)
-    return warps
-
-
-@pytest.mark.parametrize("swap", [(1, 7), (3, 40)], ids=["every-1", "every-3"])
-@pytest.mark.parametrize("arch", [GTX680, TESLA_C2075], ids=lambda a: a.name)
-def test_swap_model_on_many_warps(arch, swap):
-    """Swap-delayed ALU wake-ups break the issue order of ALU ready
-    times: with an interval of 3 they interleave with undelayed ones."""
-    sim = SMSimulator(arch, swap_interval=swap[0], swap_latency=swap[1])
-    _assert_loop_matches_reference(sim, _swap_warps(40), 4)
-
-
 #: mostly ALU work (seven in ten events), as in the benchmark traces
 _MOSTLY_ALU = st.integers(0, 9).flatmap(
     lambda roll: st.just(_ALU_EVENT) if roll < 7 else _EVENT
@@ -207,20 +185,15 @@ _MOSTLY_ALU = st.integers(0, 9).flatmap(
     arch=st.sampled_from([GTX680, TESLA_C2075]),
     ilp=st.sampled_from([1.0, 2.5, 10.0]),
     divergence=st.sampled_from([1.0, 1.5]),
-    swap=st.sampled_from([(0, 0), (1, 7), (3, 40)]),
 )
 def test_deep_queues_match_the_reference(
-    warps, warps_per_block, arch, ilp, divergence, swap
+    warps, warps_per_block, arch, ilp, divergence
 ):
     """16 to 48 warps keep both queues deep (left to itself, hypothesis
     draws a few short warps), and whole-cycle latencies make ALU
     wake-ups tie with other wake-ups."""
     sim = SMSimulator(
-        arch,
-        traits=MemoryTraits(divergence=divergence),
-        ilp=ilp,
-        swap_interval=swap[0],
-        swap_latency=swap[1],
+        arch, traits=MemoryTraits(divergence=divergence), ilp=ilp
     )
     _assert_loop_matches_reference(sim, warps, warps_per_block)
 
@@ -242,7 +215,6 @@ def _original(name, arch):
         traits=wl.traits,
         ilp=wl.ilp,
         max_events_per_warp=wl.max_events_per_warp,
-        strategy=version.strategy,
     )
     return version, wl, launch, timing
 
@@ -323,7 +295,6 @@ def test_benchmark_original_warps_match_the_reference_tracer(name, arch):
             version.smem_per_block,
             CacheConfig.SMALL_CACHE,
             None,
-            version.strategy,
         )
         _, _, most = resident_by_module.get(id(version.module), (0, 0, 0))
         resident_by_module[id(version.module)] = (

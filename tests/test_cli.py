@@ -634,7 +634,14 @@ class TestStrategyFlag:
         assert code == 0
         assert "smem-spill" in capsys.readouterr().out
 
-    def test_unknown_strategy_rejected(self, call_asm_file, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["compile", str(call_asm_file), "-o",
-                  str(tmp_path / "x.bin"), "--strategy", "zorua"])
+    def test_unknown_strategy_rejected(self, call_asm_file, tmp_path, capsys):
+        out = tmp_path / "x.bin"
+        for strategy in ("zorua", "soft-limit"):
+            with pytest.raises(SystemExit) as exc:
+                main(["compile", str(call_asm_file), "-o", str(out),
+                      "--strategy", strategy])
+            # argparse's usage error: exit status 2, the choice named.
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err and f"invalid choice: '{strategy}'" in err
+        assert not out.exists()

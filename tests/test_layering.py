@@ -2,9 +2,11 @@
 
 The service layer (``repro.service``) is built on the runtime, the
 simulator and the compiler; none of those may reach back up into it,
-not even from inside a function.  Parsed with :mod:`ast`, so the check
-runs wherever the tests do and sees imports a running test might never
-execute.
+not even from inside a function.  Likewise the simulator and the
+architecture tables time and size a binary as it is: neither may import
+the register allocator (``repro.regalloc``).  Parsed with :mod:`ast`,
+so the check runs wherever the tests do and sees imports a running test
+might never execute.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ LOWER_LAYERS = (
 )
 
 
-def _is_service(module: str) -> bool:
-    return module == "repro.service" or module.startswith("repro.service.")
+def _within(module: str, target: str) -> bool:
+    return module == target or module.startswith(target + ".")
 
 
-def _imports_service(node: ast.AST, package: str) -> bool:
+def _imports(node: ast.AST, package: str, target: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(_is_service(alias.name) for alias in node.names)
+        return any(_within(alias.name, target) for alias in node.names)
     if not isinstance(node, ast.ImportFrom):
         return False
     base = node.module or ""
@@ -35,18 +37,18 @@ def _imports_service(node: ast.AST, package: str) -> bool:
         parts = package.split(".")
         parts = parts[: len(parts) - node.level + 1] + ([base] if base else [])
         base = ".".join(parts)
-    return _is_service(base) or any(
-        _is_service(f"{base}.{alias.name}") for alias in node.names
+    return _within(base, target) or any(
+        _within(f"{base}.{alias.name}", target) for alias in node.names
     )
 
 
-def service_imports(source: str, package: str) -> list[int]:
-    """Line numbers of every import of ``repro.service``, at any depth,
-    in a module of ``package``."""
+def imports_of(source: str, package: str, target: str) -> list[int]:
+    """Line numbers of every import of ``target`` (a package), at any
+    depth, in a module of ``package``."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if _imports_service(node, package)
+        if _imports(node, package, target)
     ]
 
 
@@ -55,18 +57,29 @@ def _package(path: Path) -> str:
     return ".".join(parts[:-1])
 
 
-def test_lower_layers_never_import_the_service():
+def _offenders(layers: tuple[str, ...], target: str) -> list[str]:
+    """``file:line`` of every import of ``target`` under ``layers``."""
     found = []
     scanned = 0
-    for layer in LOWER_LAYERS:
+    for layer in layers:
         for path in sorted((SRC / layer).rglob("*.py")):
             scanned += 1
             found += [
                 f"{path.relative_to(SRC)}:{line}"
-                for line in service_imports(path.read_text(), _package(path))
+                for line in imports_of(
+                    path.read_text(), _package(path), target
+                )
             ]
-    assert scanned >= len(LOWER_LAYERS)
-    assert found == []
+    assert scanned >= len(layers)
+    return found
+
+
+def test_lower_layers_never_import_the_service():
+    assert _offenders(LOWER_LAYERS, "repro.service") == []
+
+
+def test_sim_and_arch_never_import_the_allocator():
+    assert _offenders(("sim", "arch"), "repro.regalloc") == []
 
 
 def test_guard_flags_service_imports_at_any_depth():
@@ -89,6 +102,19 @@ def test_guard_flags_service_imports_at_any_depth():
         "from . import service\n",
     ]
     for source in flagged:
-        assert service_imports(source, "repro.runtime"), source
+        assert imports_of(source, "repro.runtime", "repro.service"), source
     for source in allowed:
-        assert service_imports(source, "repro.runtime") == [], source
+        assert imports_of(source, "repro.runtime", "repro.service") == [], (
+            source
+        )
+    # The same walker guards the allocator from the simulator.
+    assert imports_of(
+        "from ..regalloc.strategy import get_strategy\n",
+        "repro.sim",
+        "repro.regalloc",
+    )
+    assert imports_of(
+        "from repro.arch.occupancy import calculate_occupancy\n",
+        "repro.sim",
+        "repro.regalloc",
+    ) == []
